@@ -2,9 +2,6 @@
 
 Exit codes: 0 success, 1 usage or I/O error, 2 validation failure,
 3 infeasible or empty result.  All file payloads are written atomically.
-`--jobs N` (or the TROPI_JOBS environment variable) is accepted for
-compatibility; every subcommand is deterministic and currently runs
-sequentially, which produces byte-identical output regardless of N.
 """
 
 from __future__ import annotations
@@ -37,6 +34,7 @@ from .serialize import (
     realization_from_dict,
     realization_to_dict,
     save_json,
+    save_text,
     slopes_from_dict,
     subdivision_from_dict,
     subdivision_to_dict,
@@ -73,7 +71,6 @@ def _parser() -> argparse.ArgumentParser:
 
     def add(name, help_text):
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--jobs", type=int, default=None)
         sp.add_argument("--quiet", action="store_true")
         return sp
 
@@ -176,11 +173,10 @@ def _cmd_smoothable(args) -> CommandResult:
         witness = smoothable_lp(t)
         verdicts["lp"] = witness is not None
     if args.method in ("construct", "both"):
-        try:
+        constructed = None
+        if check_sensitivity_consequences(t).passed:
             constructed = smooth_construct(t)
-            ok = verify_realization(t, constructed).valid
-        except TypeProblem:
-            constructed, ok = None, False
+        ok = constructed is not None and verify_realization(t, constructed).valid
         verdicts["construct"] = ok
         if ok and witness is None:
             witness = constructed
@@ -264,12 +260,8 @@ def _cmd_render(args) -> CommandResult:
         r = realization_from_dict(load_json(args.realization))
     text = render(t, r, args.fmt)
     if args.out:
-        directory = os.path.dirname(os.path.abspath(args.out))
-        os.makedirs(directory, exist_ok=True)
-        tmp = args.out + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, args.out)
+        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+        save_text(args.out, text)
         return CommandResult(0, f"wrote {args.fmt} to {args.out}", args.out)
     sys.stdout.write(text)
     return CommandResult(0, f"rendered {args.fmt}")
@@ -346,11 +338,6 @@ def run(argv) -> CommandResult:
         )
     if args.command is None:
         return CommandResult(1, parser.format_usage().strip())
-    if getattr(args, "jobs", None) is None and "TROPI_JOBS" in os.environ:
-        try:
-            args.jobs = int(os.environ["TROPI_JOBS"])
-        except ValueError:
-            return CommandResult(1, "TROPI_JOBS must be an integer")
     try:
         return _COMMANDS[args.command](args)
     except (SerializationError, OSError) as exc:

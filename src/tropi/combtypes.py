@@ -15,11 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .cones import Cone, ConeComplex, ORIGIN, minimal_containing_cone
-from .linalg import IntVector, is_zero, solve_rational_system, vec_neg
+from .cones import (
+    ComplexError,
+    Cone,
+    ConeComplex,
+    fan_coordinates,
+    minimal_containing_cone,
+)
+from .linalg import IntVector, is_zero, vec_neg
 
 Edge = tuple[str, str]
 
@@ -213,25 +218,9 @@ def ray_coefficient(
     if ray_id not in cone:
         return Fraction(0)
     coords = target.cone_coords(cone, p)
-    assert coords is not None
+    if coords is None:
+        raise ComplexError(f"point {tuple(p)} is not in its minimal cone")
     return coords[sorted(cone).index(ray_id)]
-
-
-@lru_cache(maxsize=1 << 16)
-def span_coefficients(
-    target: ConeComplex, cone: Cone, vector: tuple
-) -> Optional[tuple[Fraction, ...]]:
-    """Coefficients of a vector over the cone's generators (sorted by id).
-
-    None when the vector is outside the span of the generators.
-    """
-    gens = target.generators(cone)
-    if not gens:
-        return () if all(x == 0 for x in vector) else None
-    k = target.ambient_dim
-    matrix = [[g[r] for g in gens] for r in range(k)]
-    sol = solve_rational_system(matrix, list(vector))
-    return None if sol is None else tuple(sol.vector)
 
 
 def cone_coefficient(
@@ -242,12 +231,13 @@ def cone_coefficient(
     Requires the vector to lie in the span of the cone's generators;
     returns None when it does not (a support violation).
     """
-    coeffs = span_coefficients(target, cone, tuple(vector))
-    if coeffs is None:
+    kern = target.kernel(cone)
+    nums = kern.numerators(vector)
+    if nums is None:
         return None
     if ray_id not in cone:
         return Fraction(0)
-    return coeffs[sorted(cone).index(ray_id)]
+    return Fraction(nums[sorted(cone).index(ray_id)], kern.denom)
 
 
 def check_global_balancing(
@@ -258,14 +248,9 @@ def check_global_balancing(
     Balancing per ray: the fan coordinates of the tangency vectors must sum
     to the total degree entry for that ray.
     """
+    coords = [fan_coordinates(target, a) for a in lam.alphas]
     for i in range(len(target.rays)):
-        total = Fraction(0)
-        for a in lam.alphas:
-            c = ray_coefficient(target, i, a)
-            if c is None:
-                return i
-            total += c
-        if total != lam.total_degree[i]:
+        if None in coords or sum(c[i] for c in coords) != lam.total_degree[i]:
             return i
     return None
 
@@ -275,13 +260,12 @@ def check_global_balancing(
 
 def _vertex_imbalance(t: CombinatorialType, v: str) -> list[Fraction]:
     """Degree minus leg contributions, in fan coordinates at the vertex."""
-    k = len(t.target.rays)
-    out = [Fraction(t.graph.degrees[v][i]) for i in range(k)]
+    out = [Fraction(d) for d in t.graph.degrees[v]]
     for j in t.graph.legs_at(v):
-        for i in range(k):
-            c = ray_coefficient(t.target, i, t.leg_slopes[j])
-            if c is None:
-                raise TypeProblem(f"leg slope {j} lies outside the support")
+        coords = fan_coordinates(t.target, t.leg_slopes[j])
+        if coords is None:
+            raise TypeProblem(f"leg slope {j} lies outside the support")
+        for i, c in enumerate(coords):
             out[i] -= c
     return out
 
@@ -537,10 +521,10 @@ def _push_degree(
     for rid, deg in enumerate(d):
         if deg == 0:
             continue
-        for i in range(len(base.rays)):
-            c = ray_coefficient(base, i, refined.rays[rid])
-            if c is None:
-                raise TypeProblem("refined ray outside the base support")
+        coords = fan_coordinates(base, refined.rays[rid])
+        if coords is None:
+            raise TypeProblem("refined ray outside the base support")
+        for i, c in enumerate(coords):
             out[i] += deg * c
     for x in out:
         if x.denominator != 1:
@@ -649,11 +633,7 @@ def lift_numerical_data(sub, lam: NumericalData) -> NumericalData:
     center = minimal_containing_cone(base, e_ray)
     if center is None:
         raise TypeProblem("exceptional ray outside the base support")
-    center_gens = base.generators(center)
-    barycentric_sum = tuple(
-        sum(g[r] for g in center_gens) for r in range(base.ambient_dim)
-    )
-    if barycentric_sum != e_ray:
+    if base.barycenter(center) != e_ray:
         raise TypeProblem("not a single stellar subdivision")
     for mc in refined.max_cones:
         if not is_unimodular(refined.generators(frozenset(mc))):

@@ -12,17 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .feasibility import LinearSystem, fm_feasible
 from .linalg import (
     IntVector,
     QVector,
-    as_fractions,
+    fraction_free_solve,
     is_zero,
     mat_rank,
     primitive,
-    solve_rational_system,
+    vec_dot,
 )
 
 Cone = frozenset[int]
@@ -34,14 +35,57 @@ class ComplexError(ValueError):
     pass
 
 
-def _barycentric(gens: Sequence[IntVector], p: Sequence) -> Optional[QVector]:
-    """Coordinates of p in the basis gens, or None when p is off their span."""
-    if not gens:
-        return () if all(x == 0 for x in p) else None
-    k = len(gens[0])
-    matrix = [[gens[j][r] for j in range(len(gens))] for r in range(k)]
-    sol = solve_rational_system(matrix, list(p))
-    return sol.vector if sol is not None else None
+@dataclass(frozen=True)
+class ConeKernel:
+    """Exact barycentric coordinates over one simplicial cone's generators.
+
+    With U the g generator rows in R^k and G = U U^T, ``dual`` holds the
+    integer rows adj(G) U and ``denom`` is det(G) > 0, so a point p of the
+    span has coordinates dual . p / denom.  ``eqs`` holds k - g independent
+    integer rows of denom I - U^T dual; they vanish exactly on the span.
+    """
+
+    dual: tuple[IntVector, ...]
+    denom: int
+    eqs: tuple[IntVector, ...]
+
+    def numerators(self, p: Sequence) -> Optional[tuple]:
+        """dual . p (the coordinates times denom), or None off the span."""
+        if len(p) != len(self.dual) + len(self.eqs):
+            raise ComplexError(f"point {tuple(p)} has the wrong dimension")
+        for e in self.eqs:
+            if sum(map(mul, e, p)) != 0:
+                return None
+        return tuple(sum(map(mul, row, p)) for row in self.dual)
+
+    def functionals(self) -> list[QVector]:
+        """The barycentric functionals (U U^T)^-1 U, one row per generator."""
+        return [tuple(Fraction(x, self.denom) for x in row) for row in self.dual]
+
+
+@lru_cache(maxsize=1 << 16)
+def cone_kernel(gens: tuple[IntVector, ...], ambient_dim: int) -> ConeKernel:
+    """The kernel of the cone spanned by gens.
+
+    Raises ComplexError when the generators are linearly dependent.
+    """
+    gram = [[vec_dot(u, v) for v in gens] for u in gens]
+    denom, dual = fraction_free_solve(gram, gens)
+    if denom == 0:
+        raise ComplexError(
+            f"generators {list(gens)} are linearly dependent (not simplicial)"
+        )
+    eqs: list[IntVector] = []
+    for r in range(ambient_dim):
+        if len(eqs) == ambient_dim - len(gens):
+            break
+        row = tuple(
+            denom * (r == s) - sum(u[r] * d[s] for u, d in zip(gens, dual))
+            for s in range(ambient_dim)
+        )
+        if mat_rank(eqs + [row]) > len(eqs):
+            eqs.append(row)
+    return ConeKernel(tuple(map(tuple, dual)), denom, tuple(eqs))
 
 
 @dataclass(frozen=True)
@@ -55,7 +99,6 @@ class ConeComplex:
         ambient_dim: int,
         rays: Iterable[Sequence[int]],
         max_cones: Iterable[Iterable[int]],
-        validate: bool = True,
     ):
         ray_list = [tuple(int(x) for x in r) for r in rays]
         cone_list = [frozenset(c) for c in max_cones]
@@ -86,17 +129,21 @@ class ConeComplex:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rays", canon_rays)
         object.__setattr__(self, "max_cones", canon_cones)
-        if validate:
-            self._validate()
+        # not a field: equality, hashing and serialization ignore it
+        object.__setattr__(
+            self,
+            "max_kernels",
+            {
+                frozenset(mc): cone_kernel(
+                    tuple(canon_rays[i] for i in mc), ambient_dim
+                )
+                for mc in canon_cones
+            },
+        )
+        self._validate()
 
     def _validate(self) -> None:
-        cones = [frozenset(c) for c in self.max_cones]
-        for c in cones:
-            gens = [self.rays[i] for i in c]
-            if gens and mat_rank(gens) != len(gens):
-                raise ComplexError(
-                    f"cone {sorted(c)} is not simplicial (dependent generators)"
-                )
+        cones = list(self.max_kernels)
         for a in range(len(cones)):
             for b in range(a + 1, len(cones)):
                 if not self._pair_is_common_face(cones[a], cones[b]):
@@ -153,50 +200,55 @@ class ConeComplex:
     def generators(self, c: Cone) -> list[IntVector]:
         return [self.rays[i] for i in sorted(c)]
 
-    def ray_index(self, v: IntVector) -> Optional[int]:
-        v = primitive(v)
-        try:
-            return self.rays.index(v)
-        except ValueError:
-            return None
+    def kernel(self, c: Cone) -> ConeKernel:
+        kern = self.max_kernels.get(c)
+        if kern is None:
+            kern = cone_kernel(tuple(self.generators(c)), self.ambient_dim)
+        return kern
 
     def cone_coords(self, c: Cone, p: Sequence) -> Optional[QVector]:
         """Barycentric coordinates of p over c's generators, if p lies in c."""
-        return _cone_coords_cached(self, c, tuple(p))
+        kern = self.kernel(c)
+        nums = kern.numerators(p)
+        if nums is None or any(x < 0 for x in nums):
+            return None
+        return tuple(Fraction(x, kern.denom) for x in nums)
 
-    def barycenter(self, c: Cone) -> QVector:
+    def barycenter(self, c: Cone) -> IntVector:
         gens = self.generators(c)
-        if not gens:
-            return tuple(Fraction(0) for _ in range(self.ambient_dim))
-        return tuple(Fraction(sum(g[r] for g in gens)) for r in range(self.ambient_dim))
+        return tuple(sum(g[r] for g in gens) for r in range(self.ambient_dim))
 
 
-@lru_cache(maxsize=1 << 16)
-def _cone_coords_cached(
-    c: "ConeComplex", cone: Cone, p: tuple
-) -> Optional[QVector]:
-    coords = _barycentric(c.generators(cone), p)
-    if coords is None or any(x < 0 for x in coords):
-        return None
-    return coords
-
-
-@lru_cache(maxsize=1 << 16)
-def _minimal_containing_cached(c: "ConeComplex", p: tuple) -> Optional[Cone]:
-    for mc in c.max_cones:
-        cone = frozenset(mc)
-        coords = c.cone_coords(cone, p)
-        if coords is not None:
-            ids = sorted(cone)
-            return frozenset(i for i, lam in zip(ids, coords) if lam > 0)
+def _locate(c: ConeComplex, p: Sequence) -> Optional[tuple]:
+    """(ray ids, coordinate numerators, denominator) of p over the first
+    maximal cone containing it, or None outside the support."""
+    for ids, kern in zip(c.max_cones, c.max_kernels.values()):
+        nums = kern.numerators(p)
+        if nums is not None and all(x >= 0 for x in nums):
+            return ids, nums, kern.denom
     return None
 
 
 def minimal_containing_cone(c: ConeComplex, p: Sequence) -> Optional[Cone]:
     """The unique cone whose relative interior contains p, or None."""
-    if all(x == 0 for x in p):
-        return ORIGIN
-    return _minimal_containing_cached(c, tuple(p))
+    hit = _locate(c, p)
+    if hit is None:
+        return None
+    ids, nums, _ = hit
+    return frozenset(i for i, x in zip(ids, nums) if x > 0)
+
+
+def fan_coordinates(c: ConeComplex, p: Sequence) -> Optional[QVector]:
+    """Coefficient of every ray in p's fan coordinates, or None outside the
+    support.  Rays off the minimal cone containing p get 0."""
+    hit = _locate(c, p)
+    if hit is None:
+        return None
+    ids, nums, denom = hit
+    out = [Fraction(0)] * len(c.rays)
+    for i, x in zip(ids, nums):
+        out[i] = Fraction(x, denom)
+    return tuple(out)
 
 
 def build_snc_tropicalization(
@@ -245,33 +297,30 @@ class PLFunction:
 
 
 def evaluate_pl(f: PLFunction, p: Sequence) -> Fraction:
-    c = minimal_containing_cone(f.complex, p)
-    if c is None:
+    coords = fan_coordinates(f.complex, p)
+    if coords is None:
         raise ComplexError(f"point {tuple(p)} outside the support")
-    coords = f.complex.cone_coords(c, p)
-    assert coords is not None
-    ids = sorted(c)
-    return sum(
-        (lam * f.ray_values[i] for i, lam in zip(ids, coords)), Fraction(0)
-    )
+    return sum((lam * v for lam, v in zip(coords, f.ray_values)), Fraction(0))
 
 
 # -- coordinate projections ---------------------------------------------
 
 
-def _angular_sorted(vectors: list[IntVector]) -> list[IntVector]:
-    """Plane vectors sorted counterclockwise starting from the +x axis."""
+def angular_sorted(items: list, point=lambda v: v) -> list:
+    """Items sorted by the angle of point(item) in the plane, counterclockwise
+    starting from the +x axis."""
 
     def half(v):
         return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
 
-    def cmp(u, v):
+    def cmp(a, b):
+        u, v = point(a), point(b)
         if half(u) != half(v):
             return half(u) - half(v)
         cross = u[0] * v[1] - u[1] * v[0]
         return -1 if cross > 0 else (1 if cross < 0 else 0)
 
-    return sorted(vectors, key=cmp_to_key(cmp))
+    return sorted(items, key=cmp_to_key(cmp))
 
 
 @dataclass(frozen=True)
@@ -328,7 +377,7 @@ def coordinate_projection(c: ConeComplex, I: Iterable[int]) -> CoordinateProject
                 image_cones.append(frozenset([v]))
                 per_source[mc] = (v,)
                 continue
-            ordered = _angular_sorted(prims)
+            ordered = angular_sorted(prims)
             image_rays.update(ordered)
             for a, b in zip(ordered, ordered[1:]):
                 image_cones.append(frozenset([a, b]))

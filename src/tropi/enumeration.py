@@ -25,7 +25,6 @@ from .combtypes import (
     check_global_balancing,
     collect_sensitive_slopes,
     solve_balancing,
-    span_coefficients,
     validate_type,
 )
 from .subdivide import Subdivision, sensitize
@@ -126,13 +125,6 @@ def canonical_code(t: CombinatorialType):
 # -- the search --------------------------------------------------------------
 
 
-def _cones_between(target: ConeComplex, lower: Cone) -> list[Cone]:
-    """All cones of the target having the given cone as a face."""
-    return sorted(
-        (c for c in target.cones() if lower <= c), key=lambda c: sorted(c)
-    )
-
-
 def enumerate_types(
     target: ConeComplex, lam: NumericalData, cat: DegreeCatalogue
 ) -> list[CombinatorialType]:
@@ -148,6 +140,7 @@ def enumerate_types(
         raise TypeProblem(f"global balancing fails in ray direction {bad}")
     n = lam.n
     all_cones = sorted(target.cones(), key=lambda c: sorted(c))
+    kernels = {c: target.kernel(c) for c in all_cones}
 
     found: dict[object, CombinatorialType] = {}
     for v_count in range(1, cat.max_vertices + 1):
@@ -179,15 +172,16 @@ def enumerate_types(
                     except TypeProblem:
                         continue
                     # per edge: slope coefficients over every candidate cone,
-                    # indexed by ray id (None when the slope is off-span)
+                    # indexed by ray id (None when the slope is off-span); the
+                    # numerators suffice, since only signs are read and every
+                    # kernel denominator is positive
                     edge_span = []
                     for e in edges:
-                        m = tuple(slopes[e])
                         table = {}
-                        for c in all_cones:
-                            sol = span_coefficients(target, c, m)
+                        for c, kern in kernels.items():
+                            nums = kern.numerators(slopes[e])
                             table[c] = (
-                                None if sol is None else dict(zip(sorted(c), sol))
+                                None if nums is None else dict(zip(sorted(c), nums))
                             )
                         edge_span.append(table)
                     # vertex cones constrained by the legs they carry

@@ -25,10 +25,6 @@ def vec_add(u: Sequence, v: Sequence) -> tuple:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(c, v: Sequence) -> tuple:
     return tuple(c * a for a in v)
 
@@ -61,10 +57,6 @@ def primitive(v: IntVector) -> IntVector:
     if g == 0:
         raise LinAlgError("zero vector has no primitive generator")
     return tuple(x // g for x in v)
-
-
-def as_fractions(v: Sequence) -> QVector:
-    return tuple(Fraction(x) for x in v)
 
 
 def mat_rank(rows: Sequence[Sequence]) -> int:
@@ -202,6 +194,35 @@ def det(m: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1] if n else 1
 
 
+def fraction_free_solve(
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int]]]:
+    """det(A) and adj(A) B for a square integer matrix A, so A^-1 B = adj(A) B / det(A).
+
+    Bareiss's fraction-free Gauss-Jordan elimination on [A | B]: every
+    division is exact, so all intermediate entries stay integers.  A
+    singular A gives (0, []).
+    """
+    n = len(a)
+    m = [list(ra) + list(rb) for ra, rb in zip(a, b, strict=True)]
+    sign = 1
+    prev = 1
+    for i in range(n):
+        if m[i][i] == 0:
+            piv = next((r for r in range(i + 1, n) if m[r][i] != 0), None)
+            if piv is None:
+                return 0, []
+            m[i], m[piv] = m[piv], m[i]
+            sign = -sign
+        p = m[i][i]
+        for r in range(n):
+            if r != i:
+                f = m[r][i]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], m[i])]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
+
+
 @dataclass(frozen=True)
 class LinearSolution:
     """One exact solution of A x = b, with a uniqueness flag."""
@@ -248,35 +269,3 @@ def solve_rational_system(
     for r, c in pivots:
         x[c] = aug[r][n_vars]
     return LinearSolution(tuple(x), unique=(len(pivots) == n_vars))
-
-
-def nullspace(rows: Sequence[Sequence]) -> list[QVector]:
-    """Basis of the rational nullspace of the row matrix."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n_vars = len(m[0]) if m else 0
-    if not m:
-        return []
-    pivots: list[int] = []
-    row = 0
-    for col in range(n_vars):
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(n_vars) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n_vars
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(tuple(v))
-    return basis

@@ -283,16 +283,20 @@ def _reject_float(token):
     raise SerializationError(f"float literal {token!r} is not allowed")
 
 
-def save_json(path: str, payload: Any) -> None:
-    """Write JSON atomically: temp file in the target directory, then rename."""
+def save_text(path: str, text: str) -> None:
+    """Write text atomically: temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_json(path: str, payload: Any) -> None:
+    """Write JSON atomically, with sorted keys and a trailing newline."""
+    save_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

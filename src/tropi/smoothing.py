@@ -29,7 +29,7 @@ from .combtypes import (
 )
 from .cones import Cone
 from .feasibility import LinearSystem, fm_feasible, simplex_feasible
-from .linalg import QVector, solve_rational_system, vec_add, vec_scale
+from .linalg import QVector, vec_add, vec_scale
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,13 @@ class SensitivityReport:
         return all(v.passed for v in self.edges.values())
 
 
-def _edge_coords(t: CombinatorialType, e: Edge, v: str) -> list[Fraction]:
-    """Slope away from v in the generator basis of the edge cone."""
-    gens = t.target.generators(t.edge_cones[e])
-    m = t.slope_from(v, e)
-    if not gens:
-        return []
-    matrix = [[g[r] for g in gens] for r in range(t.target.ambient_dim)]
-    sol = solve_rational_system(matrix, list(m))
-    if sol is None:
+def _edge_coords(t: CombinatorialType, e: Edge, v: str) -> tuple:
+    """Slope away from v in the generator basis of the edge cone, times the
+    cone's positive kernel denominator (only signs are read)."""
+    nums = t.target.kernel(t.edge_cones[e]).numerators(t.slope_from(v, e))
+    if nums is None:
         raise TypeProblem(f"edge {e} slope not supported on its cone")
-    return list(sol.vector)
+    return nums
 
 
 def check_sensitivity_consequences(t: CombinatorialType) -> SensitivityReport:
@@ -103,8 +99,12 @@ def check_sensitivity_consequences(t: CombinatorialType) -> SensitivityReport:
         flags: dict[str, FlagVerdict] = {}
         for v in e:
             vc = t.vertex_cones[v]
+            if not vc <= cone:
+                raise TypeProblem(
+                    f"cone of vertex {v} is not a face of the cone of edge {e}"
+                )
             gap = len(cone) - len(vc)
-            jump_ok = 0 <= gap <= 1
+            jump_ok = gap <= 1
             neg_ok = True
             if gap == 1:
                 away = _edge_coords(t, e, v)
@@ -191,8 +191,6 @@ def build_smoothing_system(
     strict inequality appears as >= 1, exact because the solution set is a
     convex cone.  Returns None when a constant leg condition already fails.
     """
-    from .subdivide import halfspace_description
-
     if t.edge_slopes is None:
         raise TypeProblem("edge slopes must be solved first")
     if not _legs_admissible(t):
@@ -211,26 +209,15 @@ def build_smoothing_system(
         sys.add_ge(row, 1)
 
     for v in g.vertices:
-        gens = t.target.generators(t.vertex_cones[v])
-        lam, eqs = halfspace_description(gens)
-        if not gens:
-            # position must be the origin exactly
-            for r in range(k):
-                unit = tuple(Fraction(int(r == s)) for s in range(k))
-                sys.add_eq(_position_row(t, unit, paths[v], edge_index, n), 0)
-            continue
-        for f in eqs:
+        kern = t.target.kernel(t.vertex_cones[v])
+        for f in kern.eqs:
             sys.add_eq(_position_row(t, f, paths[v], edge_index, n), 0)
-        for f in lam:
+        for f in kern.functionals():
             sys.add_ge(_position_row(t, f, paths[v], edge_index, n), 1)
 
     for e in g.edges:
-        gens = t.target.generators(t.edge_cones[e])
-        if not gens:
-            continue
-        lam, _ = halfspace_description(gens)
         a, b = e
-        for f in lam:
+        for f in t.target.kernel(t.edge_cones[e]).functionals():
             # midpoint interiority, doubled to stay integral
             row_a = _position_row(t, f, paths[a], edge_index, n)
             row_b = _position_row(t, f, paths[b], edge_index, n)
@@ -300,7 +287,7 @@ def smooth_construct(t: CombinatorialType, start: Optional[str] = None) -> Reali
     if start is None:
         start = g.vertices[0]
     positions: dict[str, QVector] = {
-        start: t.target.barycenter(t.vertex_cones[start])
+        start: tuple(Fraction(x) for x in t.target.barycenter(t.vertex_cones[start]))
     }
     lengths: dict[Edge, Fraction] = {}
     frontier = [start]
@@ -312,32 +299,34 @@ def smooth_construct(t: CombinatorialType, start: Optional[str] = None) -> Reali
                 continue
             cone = t.edge_cones[e]
             ids = sorted(cone)
-            gens = t.target.generators(cone)
             m = t.slope_from(v, e)
-            if not gens:
+            if not cone:
                 # contracted edge at the origin: any positive length works
-                assert all(x == 0 for x in m)
+                if any(m):
+                    raise TypeProblem(f"edge {e} at the origin has a nonzero slope")
                 lengths[e] = Fraction(1)
                 positions[w] = positions[v]
                 frontier.append(w)
                 continue
-            matrix = [[gg[r] for gg in gens] for r in range(t.target.ambient_dim)]
-            mu_sol = solve_rational_system(matrix, list(positions[v]))
-            a_sol = solve_rational_system(matrix, list(m))
-            assert mu_sol is not None and a_sol is not None
-            mu = list(mu_sol.vector)
-            a = list(a_sol.vector)
+            # coordinates times the kernel denominator; only ratios are used
+            kern = t.target.kernel(cone)
+            mu = kern.numerators(positions[v])
+            a = kern.numerators(m)
+            if mu is None or a is None:
+                raise TypeProblem(f"edge {e} leaves the span of its cone")
             dropped = [i for i, rid in enumerate(ids) if rid not in t.vertex_cones[w]]
             if dropped:
                 (i0,) = dropped
-                assert a[i0] < 0 and mu[i0] > 0
-                length = mu[i0] / (-a[i0])
+                if not (a[i0] < 0 and mu[i0] > 0):
+                    raise TypeProblem(f"edge {e} cannot descend to the cone of {w}")
+                length = Fraction(mu[i0], -a[i0])
             else:
                 bounds = [
-                    mu[i] / (-a[i]) for i in range(len(ids)) if a[i] < 0
+                    Fraction(mu[i], -a[i]) for i in range(len(ids)) if a[i] < 0
                 ]
                 length = min(bounds) / 2 if bounds else Fraction(1)
-            assert length > 0
+            if length <= 0:
+                raise TypeProblem(f"edge {e} gets no positive length")
             lengths[e] = length
             positions[w] = vec_add(positions[v], vec_scale(length, m))
             frontier.append(w)

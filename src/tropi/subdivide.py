@@ -11,12 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import combinations
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .cones import ComplexError, Cone, ConeComplex, coordinate_projection, minimal_containing_cone
+from .cones import (
+    ComplexError,
+    Cone,
+    ConeComplex,
+    angular_sorted,
+    cone_kernel,
+    coordinate_projection,
+    minimal_containing_cone,
+)
 from .feasibility import LinearSystem, fm_feasible
 from .linalg import (
     IntVector,
@@ -40,9 +47,6 @@ class Subdivision:
     @property
     def is_identity(self) -> bool:
         return self.base == self.refined
-
-    def map_cone(self, c: Cone) -> Cone:
-        return self.cone_image[c]
 
 
 def identity_subdivision(c: ConeComplex) -> Subdivision:
@@ -115,60 +119,25 @@ def stellar(c: ConeComplex, sigma: Cone) -> Subdivision:
             s.cone_image,
             ("stellar subdivision at a ray is the identity",),
         )
-    gens = c.generators(sigma)
-    center = tuple(sum(g[r] for g in gens) for r in range(c.ambient_dim))
-    return stellar_at_point(c, center)
+    return stellar_at_point(c, c.barycenter(sigma))
 
 
 # -- V-representation helpers ---------------------------------------------
 
 
-def _mat_inv(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def halfspace_description(
     gens: Sequence[IntVector],
-) -> tuple[list[QVector], list[QVector]]:
+) -> tuple[list[QVector], list[IntVector]]:
     """(inequality rows, equality rows) cutting out the simplicial cone.
 
-    Inequality rows are the barycentric functionals Lambda = (U U^T)^{-1} U;
-    equality rows are I - U^T Lambda, vanishing exactly on the span.
+    Inequality rows are the barycentric functionals Lambda = (U U^T)^{-1} U,
+    exactly; equality rows are independent integer rows vanishing exactly
+    on the span.
     """
     if not gens:
-        k = 0
         return [], []
-    k = len(gens[0])
-    g = len(gens)
-    gram = [[Fraction(vec_dot(a, b)) for b in gens] for a in gens]
-    gram_inv = _mat_inv(gram)
-    lam = [
-        tuple(
-            sum(gram_inv[i][j] * gens[j][r] for j in range(g)) for r in range(k)
-        )
-        for i in range(g)
-    ]
-    eqs = []
-    for r in range(k):
-        row = [
-            Fraction(int(r == s))
-            - sum(Fraction(gens[j][r]) * lam[j][s] for j in range(g))
-            for s in range(k)
-        ]
-        if any(x != 0 for x in row):
-            eqs.append(tuple(row))
-    return lam, eqs
+    kern = cone_kernel(tuple(gens), len(gens[0]))
+    return kern.functionals(), list(kern.eqs)
 
 
 def _rational_primitive(v: Sequence[Fraction]) -> IntVector:
@@ -289,17 +258,7 @@ def triangulate_cone(rays: list[IntVector]) -> list[tuple[IntVector, ...]]:
         assert sol is not None
         plane[r] = (sol.vector[0], sol.vector[1])
 
-    def half(v):
-        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
-
-    def cmp(u, v):
-        pu, pv = plane[u], plane[v]
-        if half(pu) != half(pv):
-            return half(pu) - half(pv)
-        cross = pu[0] * pv[1] - pu[1] * pv[0]
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-    cyc = sorted(rays, key=cmp_to_key(cmp))
+    cyc = angular_sorted(rays, plane.__getitem__)
     start = cyc.index(min(cyc))
     cyc = cyc[start:] + cyc[:start]
     apex = cyc[0]

@@ -24,7 +24,7 @@ from tropi.smoothing import verify_realization
 from tropi.subdivide import stellar
 
 from fixtures import E1, E2, golden_lambda, golden_type, quadrant
-from test_smoothing import ray_type
+from test_smoothing import broken_face_type, ray_type
 
 
 @pytest.fixture
@@ -105,6 +105,13 @@ class TestSmoothable:
             r = realization_from_dict(load_json(out))
             assert verify_realization(t, r).valid
             os.unlink(out)
+
+    def test_vertex_cone_not_a_face_exit_2(self, files):
+        path = os.path.join(files["dir"], "broken.json")
+        save_json(path, type_to_dict(broken_face_type()))
+        result = run(["smoothable", "--type", path, "--method", "both"])
+        assert result.exit_code == 2
+        assert "not a face" in result.summary
 
 
 class TestSubdivisionCommands:
@@ -268,10 +275,6 @@ class TestPlumbing:
 
     def test_selftest(self):
         assert main(["selftest", "--quiet"]) == 0
-
-    def test_jobs_env_accepted(self, files, monkeypatch):
-        monkeypatch.setenv("TROPI_JOBS", "4")
-        assert main(["validate", "--type", files["solved"], "--quiet"]) == 0
 
     def test_console_script(self):
         proc = subprocess.run(

@@ -10,10 +10,13 @@ from tropi.cones import (
     ConeComplex,
     PLFunction,
     build_snc_tropicalization,
+    cone_kernel,
     coordinate_projection,
     evaluate_pl,
     minimal_containing_cone,
 )
+from tropi.linalg import mat_rank, primitive, solve_rational_system, vec_dot
+from tropi.subdivide import halfspace_description, stellar_at_point
 
 
 def quadrant():
@@ -178,3 +181,125 @@ class TestCones:
         assert c.has_cone(ORIGIN)
         assert c.has_cone(frozenset({0}))
         assert not c.has_cone(frozenset({5}))
+
+
+# -- the cone kernel against rational Gaussian elimination ----------------------
+
+
+@st.composite
+def simplicial_gens(draw):
+    """Distinct primitive independent integer vectors in dimension 1..4,
+    between none and a full basis of them."""
+    k = draw(st.integers(1, 4))
+    g = draw(st.integers(0, k))
+    vec = st.tuples(*[st.integers(-4, 4)] * k).filter(any).map(primitive)
+    gens = draw(st.lists(vec, min_size=g, max_size=g, unique=True))
+    if gens and mat_rank(gens) != len(gens):
+        gens = gens[:0]  # dependent draw: fall back to the origin cone
+    return k, tuple(gens)
+
+
+def _oracle_coords(gens, p):
+    """Coordinates of p over gens by rational Gaussian elimination."""
+    if not gens:
+        return () if not any(p) else None
+    matrix = [[u[r] for u in gens] for r in range(len(p))]
+    sol = solve_rational_system(matrix, list(p))
+    return None if sol is None else sol.vector
+
+
+point = st.lists(st.integers(-6, 6), min_size=4, max_size=4)
+
+
+class TestConeKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(simplicial_gens(), point, point)
+    def test_matches_gaussian_elimination(self, kg, coeffs, noise):
+        k, gens = kg
+        kern = cone_kernel(gens, k)
+        assert kern.denom > 0
+        # dual . U^T = denom I
+        for i, row in enumerate(kern.dual):
+            assert [vec_dot(row, u) for u in gens] == [
+                kern.denom * (i == j) for j in range(len(gens))
+            ]
+        # eqs: k - g independent rows vanishing exactly on the span
+        assert len(kern.eqs) == k - len(gens)
+        assert not kern.eqs or mat_rank(kern.eqs) == len(kern.eqs)
+        assert all(vec_dot(e, u) == 0 for e in kern.eqs for u in gens)
+        in_span = tuple(
+            sum(c * u[r] for c, u in zip(coeffs, gens)) for r in range(k)
+        )
+        for p in (in_span, tuple(noise[:k])):
+            expected = _oracle_coords(gens, p)
+            nums = kern.numerators(p)
+            got = None if nums is None else tuple(Fraction(x, kern.denom) for x in nums)
+            assert got == expected
+        assert kern.numerators(in_span) == tuple(
+            kern.denom * c for c in coeffs[: len(gens)]
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(simplicial_gens())
+    def test_halfspace_description_matches_gram_inverse(self, kg):
+        k, gens = kg
+        lam, eqs = halfspace_description(gens)
+        if not gens:
+            assert (lam, eqs) == ([], [])
+            return
+        # old formula: Lambda = (U U^T)^-1 U, equality rows I - U^T Lambda
+        g = len(gens)
+        gram = [[vec_dot(a, b) for b in gens] for a in gens]
+        inv_cols = [
+            solve_rational_system(gram, [int(i == j) for i in range(g)]).vector
+            for j in range(g)
+        ]
+        old_lam = [
+            tuple(
+                sum(inv_cols[j][i] * gens[j][r] for j in range(g))
+                for r in range(k)
+            )
+            for i in range(g)
+        ]
+        old_eqs = [
+            tuple(
+                int(r == s) - sum(gens[j][r] * old_lam[j][s] for j in range(g))
+                for s in range(k)
+            )
+            for r in range(k)
+        ]
+        assert lam == old_lam
+        denom = cone_kernel(tuple(gens), k).denom
+        for e in eqs:
+            assert tuple(Fraction(x, denom) for x in e) in old_eqs
+        assert len(eqs) == k - g
+        assert not eqs or mat_rank(eqs) == mat_rank(old_eqs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(simplicial_gens(), point, point, st.booleans())
+    def test_minimal_containing_cone_brute_force(self, kg, coeffs, split, refine):
+        k, gens = kg
+        c = ConeComplex(k, gens, [range(len(gens))])
+        if refine and len(gens) > 1:
+            center = tuple(
+                sum((1 + abs(x)) * u[r] for x, u in zip(split, gens))
+                for r in range(k)
+            )
+            c = stellar_at_point(c, center).refined
+        p = tuple(sum(x * u[r] for x, u in zip(coeffs, gens)) for r in range(k))
+        expected = [
+            cone
+            for cone in c.cones()
+            if (coords := _oracle_coords(c.generators(cone), p)) is not None
+            and all(x > 0 for x in coords)
+        ]
+        assert len(expected) <= 1
+        assert minimal_containing_cone(c, p) == (expected[0] if expected else None)
+
+    def test_dependent_generators_rejected(self):
+        with pytest.raises(ComplexError):
+            cone_kernel(((1, 0), (0, 1), (1, 1)), 2)
+
+    def test_wrong_dimension_rejected(self):
+        with pytest.raises(ComplexError):
+            quadrant().cone_coords(frozenset({0, 1}), (1, 2, 3))

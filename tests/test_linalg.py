@@ -8,9 +8,9 @@ from tropi.linalg import (
     LinAlgError,
     det,
     elementary_divisors,
+    fraction_free_solve,
     is_unimodular,
     lattice_index,
-    nullspace,
     primitive,
     solve_rational_system,
     vec_dot,
@@ -141,15 +141,6 @@ class TestSolve:
             assert vec_dot(r, sol.vector) == rhs
 
 
-class TestNullspace:
-    def test_full_rank(self):
-        assert nullspace([[1, 0], [0, 1]]) == []
-
-    def test_line(self):
-        (v,) = nullspace([[1, 1]])
-        assert v[0] + v[1] == 0 and v != (0, 0)
-
-
 class TestDet:
     @given(
         st.lists(
@@ -164,3 +155,33 @@ class TestDet:
 
     def test_singular(self):
         assert det([[1, 2], [2, 4]]) == 0
+
+
+class TestFractionFreeSolve:
+    @given(
+        st.integers(min_value=0, max_value=4).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                    min_size=n,
+                    max_size=n,
+                ),
+                st.lists(
+                    st.lists(st.integers(-9, 9), min_size=2, max_size=2),
+                    min_size=n,
+                    max_size=n,
+                ),
+            )
+        )
+    )
+    def test_adjugate_times_rhs(self, ab):
+        a, b = ab
+        d, x = fraction_free_solve(a, b)
+        assert d == det(a)
+        if d == 0:
+            assert x == []
+            return
+        n = len(a)
+        for i in range(n):
+            for j in range(2):
+                assert sum(a[i][l] * x[l][j] for l in range(n)) == d * b[i][j]

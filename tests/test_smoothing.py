@@ -14,7 +14,7 @@ from tropi.smoothing import (
 )
 from tropi.subdivide import sensitize
 
-from fixtures import E1, E2, golden_type, quadrant
+from fixtures import E1, E2, golden_type, octant, quadrant
 
 
 def sensitized():
@@ -62,6 +62,20 @@ def descending_type():
     )
 
 
+def broken_face_type():
+    """Edge cone {0, 2} of the octant whose vertex u sits on ray 1 instead."""
+    zero = (0, 0, 0)
+    return CombinatorialType(
+        graph=DecoratedGraph(["u", "w"], [("u", "w")], [], {"u": zero, "w": zero}),
+        target=octant(),
+        vertex_cones={"u": frozenset({1}), "w": frozenset({0, 2})},
+        edge_cones={("u", "w"): frozenset({0, 2})},
+        leg_cones={},
+        leg_slopes={},
+        edge_slopes={("u", "w"): (1, 0, 1)},
+    )
+
+
 class TestSensitivity:
     def test_golden_fails_both_ways(self):
         report = check_sensitivity_consequences(golden_type(with_slopes=True))
@@ -92,6 +106,10 @@ class TestSensitivity:
     def test_unsolved_error(self):
         with pytest.raises(TypeProblem):
             check_sensitivity_consequences(golden_type())
+
+    def test_vertex_cone_not_a_face(self):
+        with pytest.raises(TypeProblem, match="not a face"):
+            check_sensitivity_consequences(broken_face_type())
 
 
 class TestSmoothableLP:
