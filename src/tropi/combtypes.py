@@ -157,6 +157,11 @@ class CombinatorialType:
         labels = {j for _, j in g.legs}
         if set(self.leg_cones) != labels or set(self.leg_slopes) != labels:
             raise TypeProblem("cone or slope missing for some leg")
+        n_rays = len(self.target.rays)
+        for cones in (self.vertex_cones, self.edge_cones, self.leg_cones):
+            for c in cones.values():
+                if any(not 0 <= i < n_rays for i in c):
+                    raise TypeProblem(f"cone {sorted(c)} refers to a missing ray")
         k = self.target.ambient_dim
         for v, d in g.degrees.items():
             if len(d) != len(self.target.rays):
@@ -166,6 +171,9 @@ class CombinatorialType:
         for j, s in self.leg_slopes.items():
             if len(s) != k:
                 raise TypeProblem(f"leg slope {j} has wrong dimension")
+        for e, s in (self.edge_slopes or {}).items():
+            if len(s) != k:
+                raise TypeProblem(f"edge slope {e} has wrong dimension")
 
     def slope_from(self, v: str, edge: Edge) -> IntVector:
         """Solved slope of the edge, oriented away from v."""

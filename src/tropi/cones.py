@@ -4,7 +4,8 @@ A complex stores a table of primitive integer ray vectors and a set of
 maximal cones, each a frozenset of ray indices.  Every subset of a cone's
 generators is implicitly a face, so only maximal cones are stored.  The
 pairwise condition (any two cones intersect in a common face) is validated
-exactly at construction time.
+exactly by the public constructor, where a complex enters the program; the
+refinements that `tropi.subdivide` builds are fans by construction and skip it.
 """
 
 from __future__ import annotations
@@ -100,6 +101,17 @@ class ConeComplex:
         rays: Iterable[Sequence[int]],
         max_cones: Iterable[Iterable[int]],
     ):
+        self._canonicalize(ambient_dim, rays, max_cones)
+        self._validate()
+
+    @classmethod
+    def _refinement(cls, ambient_dim, rays, max_cones) -> ConeComplex:
+        """Canonicalise without the pairwise check (subdivide's refinements)."""
+        self = object.__new__(cls)
+        self._canonicalize(ambient_dim, rays, max_cones)
+        return self
+
+    def _canonicalize(self, ambient_dim, rays, max_cones) -> None:
         ray_list = [tuple(int(x) for x in r) for r in rays]
         cone_list = [frozenset(c) for c in max_cones]
         for r in ray_list:
@@ -113,10 +125,9 @@ class ConeComplex:
         order = sorted(range(len(ray_list)), key=lambda i: ray_list[i])
         new_index = {old: new for new, old in enumerate(order)}
         canon_rays = tuple(ray_list[i] for i in order)
+        if any(i not in new_index for c in cone_list for i in c):
+            raise ComplexError("cone refers to a missing ray")
         remapped = [frozenset(new_index[i] for i in c) for c in cone_list]
-        for c in remapped:
-            if any(i < 0 or i >= len(canon_rays) for i in c):
-                raise ComplexError("cone refers to a missing ray")
         # drop cones contained in another cone; dedupe
         maximal = [
             c
@@ -140,7 +151,6 @@ class ConeComplex:
                 for mc in canon_cones
             },
         )
-        self._validate()
 
     def _validate(self) -> None:
         cones = list(self.max_kernels)

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from .linalg import QVector, vec_dot
 
 Row = tuple[tuple[Fraction, ...], Fraction]
+IntRow = tuple[tuple[int, ...], int]
 
 
 def _row(coeffs: Sequence, rhs) -> Row:
@@ -52,7 +53,7 @@ class LinearSystem:
         )
 
 
-def _normalize(row: Row) -> Row:
+def _normalize(row: Row | IntRow) -> IntRow:
     """Scale to integer entries with gcd 1, keeping inequality direction."""
     coeffs, rhs = row
     denom = 1
@@ -64,7 +65,7 @@ def _normalize(row: Row) -> Row:
         g = gcd(g, abs(x))
     if g > 1:
         ints = [x // g for x in ints]
-    return tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1])
+    return tuple(ints[:-1]), ints[-1]
 
 
 def fm_feasible(system: LinearSystem) -> Optional[QVector]:
@@ -110,7 +111,7 @@ def fm_feasible(system: LinearSystem) -> Optional[QVector]:
     # eliminate remaining variables from the inequalities
     live = [j for j in range(n) if any(c[j] != 0 for c, _ in ineqs)]
     cons = {_normalize((tuple(c), r)) for c, r in ineqs}
-    stack: list[tuple[int, list[Row], list[Row]]] = []
+    stack: list[tuple[int, list[IntRow], list[IntRow]]] = []
     while live:
         # cheapest variable first keeps the blowup down
         var = min(
@@ -140,11 +141,11 @@ def fm_feasible(system: LinearSystem) -> Optional[QVector]:
     for var, lowers, uppers in reversed(stack):
         lo = None
         for c, r in lowers:
-            bound = (r - sum(c[j] * x[j] for j in range(n) if j != var)) / c[var]
+            bound = Fraction(r - sum(c[j] * x[j] for j in range(n) if j != var), c[var])
             lo = bound if lo is None else max(lo, bound)
         hi = None
         for c, r in uppers:
-            bound = (r - sum(c[j] * x[j] for j in range(n) if j != var)) / c[var]
+            bound = Fraction(r - sum(c[j] * x[j] for j in range(n) if j != var), c[var])
             hi = bound if hi is None else min(hi, bound)
         if lo is not None and hi is not None:
             x[var] = (lo + hi) / 2

@@ -69,6 +69,10 @@ def render_svg(
         raise RenderError(
             "SVG rendering is two-dimensional only; use the dot format"
         )
+    if r is not None and t is not None and any(
+        len(r.vertex_positions.get(v, ())) != 2 for v in t.graph.vertices
+    ):
+        raise RenderError("the realization must place every vertex in the plane")
     points = [ray for ray in fan.rays]
     if r is not None:
         points.extend(r.vertex_positions.values())

@@ -11,18 +11,36 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
-from .combtypes import CombinatorialType, DecoratedGraph, NumericalData
-from .cones import Cone, ConeComplex
+from .combtypes import CombinatorialType, DecoratedGraph, NumericalData, TypeProblem
+from .cones import ComplexError, Cone, ConeComplex
 from .enumeration import DegreeCatalogue
+from .linalg import LinAlgError
 from .smoothing import Realization
 from .subdivide import Subdivision
 
 
 class SerializationError(ValueError):
     pass
+
+
+@contextmanager
+def _payload(kind: str) -> Iterator[None]:
+    """Turn a malformed payload's shape errors into SerializationError.
+
+    Validation errors of well-formed data (ComplexError, TypeProblem,
+    LinAlgError) are ValueErrors too; they pass through unchanged, so the
+    CLI still reports them as validation failures.
+    """
+    try:
+        yield
+    except (SerializationError, ComplexError, TypeProblem, LinAlgError):
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise SerializationError(f"bad {kind} payload: {exc!r}") from exc
 
 
 # -- scalars -----------------------------------------------------------------
@@ -74,14 +92,12 @@ def complex_to_dict(c: ConeComplex) -> dict:
 
 
 def complex_from_dict(data: dict) -> ConeComplex:
-    try:
+    with _payload("complex"):
         return ConeComplex(
             data["ambient_dim"],
             [_int_vector(r) for r in data["rays"]],
             [_int_vector(m) for m in data["max_cones"]],
         )
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"bad complex payload: {exc}") from exc
 
 
 # -- subdivisions ------------------------------------------------------------
@@ -105,17 +121,16 @@ def subdivision_to_dict(s: Subdivision) -> dict:
 
 
 def subdivision_from_dict(data: dict) -> Subdivision:
-    try:
+    with _payload("subdivision"):
         base = complex_from_dict(data["base"])
         refined = complex_from_dict(data["refined"])
         base_order = _cone_order(base)
         ref_order = _cone_order(refined)
-        cone_image = {
-            ref_order[i]: base_order[j] for i, j in data["cone_image"]
-        }
+        pairs = [_int_vector(pair) for pair in data["cone_image"]]
+        if any(len(p) != 2 or min(p) < 0 for p in pairs):
+            raise SerializationError("cone_image entries must be index pairs")
+        cone_image = {ref_order[i]: base_order[j] for i, j in pairs}
         warnings = tuple(data.get("warnings", []))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise SerializationError(f"bad subdivision payload: {exc}") from exc
     if len(cone_image) != len(ref_order):
         raise SerializationError("cone_image must cover every refined cone")
     return Subdivision(base, refined, cone_image, warnings)
@@ -147,7 +162,7 @@ def type_to_dict(t: CombinatorialType) -> dict:
 
 
 def type_from_dict(data: dict) -> CombinatorialType:
-    try:
+    with _payload("type"):
         target = complex_from_dict(data["target"])
         graph = DecoratedGraph(
             list(data["vertices"]),
@@ -178,8 +193,6 @@ def type_from_dict(data: dict) -> CombinatorialType:
                 else {tuple(e): _int_vector(m) for e, m in edge_slopes}
             ),
         )
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"bad type payload: {exc}") from exc
 
 
 # -- numerical data ----------------------------------------------------------
@@ -194,14 +207,12 @@ def lambda_to_dict(lam: NumericalData) -> dict:
 
 
 def lambda_from_dict(data: dict) -> NumericalData:
-    try:
+    with _payload("lambda"):
         return NumericalData(
             int(data["n"]),
             [_int_vector(a) for a in data["alphas"]],
             _int_vector(data["total_degree"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"bad lambda payload: {exc}") from exc
 
 
 # -- realizations ------------------------------------------------------------
@@ -221,7 +232,7 @@ def realization_to_dict(r: Realization) -> dict:
 
 
 def realization_from_dict(data: dict) -> Realization:
-    try:
+    with _payload("realization"):
         return Realization(
             data["root_vertex"],
             {tuple(e): fraction_from_str(l) for e, l in data["edge_lengths"]},
@@ -230,8 +241,6 @@ def realization_from_dict(data: dict) -> Realization:
                 for v, p in data["vertex_positions"].items()
             },
         )
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"bad realization payload: {exc}") from exc
 
 
 # -- catalogues and slope lists ----------------------------------------------
@@ -245,12 +254,10 @@ def catalogue_to_dict(cat: DegreeCatalogue) -> dict:
 
 
 def catalogue_from_dict(data: dict) -> DegreeCatalogue:
-    try:
+    with _payload("catalogue"):
         return DegreeCatalogue(
             [_int_vector(a) for a in data["atoms"]], int(data["max_vertices"])
         )
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"bad catalogue payload: {exc}") from exc
 
 
 def slopes_to_dict(slopes) -> dict:
@@ -258,10 +265,8 @@ def slopes_to_dict(slopes) -> dict:
 
 
 def slopes_from_dict(data: dict) -> list[tuple[int, ...]]:
-    try:
+    with _payload("slopes"):
         return [_int_vector(m) for m in data["slopes"]]
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"bad slopes payload: {exc}") from exc
 
 
 # -- files -------------------------------------------------------------------

@@ -84,14 +84,18 @@ def stellar_at_point(c: ConeComplex, v: Sequence[int]) -> Subdivision:
     if is_zero(v):
         raise ComplexError("cannot subdivide at the zero vector")
     w = primitive(v)
+    refined = _star(c, w)
+    warnings = (f"point {w} is already a ray",) if refined is c else ()
+    return make_subdivision(c, refined, warnings)
+
+
+def _star(c: ConeComplex, w: IntVector) -> ConeComplex:
+    """c star-subdivided at the primitive vector w; c itself if w is a ray."""
     home = minimal_containing_cone(c, w)
     if home is None:
         raise ComplexError(f"point {w} lies outside the support")
     if len(home) == 1:
-        s = identity_subdivision(c)
-        return Subdivision(
-            s.base, s.refined, s.cone_image, (f"point {w} is already a ray",)
-        )
+        return c
     rays = list(c.rays) + [w]
     new_id = len(c.rays)
     new_cones: list[frozenset[int]] = []
@@ -102,8 +106,7 @@ def stellar_at_point(c: ConeComplex, v: Sequence[int]) -> Subdivision:
                 new_cones.append((cone - {i}) | {new_id})
         else:
             new_cones.append(cone)
-    refined = ConeComplex(c.ambient_dim, rays, new_cones)
-    return make_subdivision(c, refined)
+    return ConeComplex._refinement(c.ambient_dim, rays, new_cones)
 
 
 def stellar(c: ConeComplex, sigma: Cone) -> Subdivision:
@@ -112,13 +115,8 @@ def stellar(c: ConeComplex, sigma: Cone) -> Subdivision:
     if not c.has_cone(sigma) or len(sigma) == 0:
         raise ComplexError(f"{sorted(sigma)} is not a positive-dimensional cone")
     if len(sigma) == 1:
-        s = identity_subdivision(c)
-        return Subdivision(
-            s.base,
-            s.refined,
-            s.cone_image,
-            ("stellar subdivision at a ray is the identity",),
-        )
+        warning = "stellar subdivision at a ray is the identity"
+        return make_subdivision(c, c, (warning,))
     return stellar_at_point(c, c.barycenter(sigma))
 
 
@@ -250,12 +248,14 @@ def triangulate_cone(rays: list[IntVector]) -> list[tuple[IntVector, ...]]:
             basis.append(diffs[r])
         if len(basis) == 2:
             break
-    assert len(basis) == 2
+    if len(basis) != 2:
+        raise ComplexError(f"rays {rays} are not extreme in a 3-dimensional cone")
     matrix = [[basis[0][i], basis[1][i]] for i in range(len(h))]
     plane: dict[IntVector, tuple[Fraction, Fraction]] = {}
     for r in rays:
         sol = solve_rational_system(matrix, list(diffs[r]))
-        assert sol is not None
+        if sol is None:
+            raise ComplexError(f"ray {r} is off the cross-section plane")
         plane[r] = (sol.vector[0], sol.vector[1])
 
     cyc = angular_sorted(rays, plane.__getitem__)
@@ -269,7 +269,7 @@ def _assemble(ambient_dim: int, pieces: list[tuple[IntVector, ...]]) -> ConeComp
     ray_set = sorted({r for piece in pieces for r in piece})
     index = {r: i for i, r in enumerate(ray_set)}
     cones = [frozenset(index[r] for r in piece) for piece in pieces]
-    return ConeComplex(ambient_dim, ray_set, cones)
+    return ConeComplex._refinement(ambient_dim, ray_set, cones)
 
 
 # -- slicing and refinement -----------------------------------------------
@@ -360,7 +360,8 @@ def _parallelepiped_witness(gens: list[IntVector]) -> IntVector:
             rec(i + 1, coeffs + [Fraction(num, m)])
 
     rec(0, [])
-    assert best_point is not None
+    if best_point is None:
+        raise ComplexError(f"cone {gens} has no nonzero parallelepiped point")
     return primitive(best_point)
 
 
@@ -371,7 +372,10 @@ def resolve_smooth(c: ConeComplex) -> Subdivision:
     is split at the minimal fundamental-parallelepiped lattice point; the
     pair (max index, number of attaining cones) strictly decreases.
     """
-    current = c
+    return make_subdivision(c, _resolve(c))
+
+
+def _resolve(current: ConeComplex) -> ConeComplex:
     while True:
         worst: Optional[Cone] = None
         worst_mult = 1
@@ -382,12 +386,9 @@ def resolve_smooth(c: ConeComplex) -> Subdivision:
                 worst_mult = mult
                 worst = cone
         if worst is None:
-            break
+            return current
         witness = _parallelepiped_witness(current.generators(worst))
-        step = stellar_at_point(current, witness)
-        assert not step.warnings, "witness landed on an existing ray"
-        current = step.refined
-    return make_subdivision(c, current)
+        current = _star(current, witness)
 
 
 # -- slope-sensitive subdivision ------------------------------------------
@@ -433,7 +434,5 @@ def sensitize(
                 if any(x != 0 for x in h):
                     current = slice_by_hyperplane(current, h)
     for s in slope_list:
-        step = stellar_at_point(current, s)
-        current = step.refined
-    current = resolve_smooth(current).refined
-    return make_subdivision(target, current)
+        current = _star(current, s)
+    return make_subdivision(target, _resolve(current))

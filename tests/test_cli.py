@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 from tropi.cli import main, run
 from tropi.serialize import (
     catalogue_to_dict,
+    complex_from_dict,
     complex_to_dict,
     lambda_to_dict,
     load_json,
@@ -15,10 +17,12 @@ from tropi.serialize import (
     save_json,
     slopes_to_dict,
     subdivision_from_dict,
+    subdivision_to_dict,
     type_from_dict,
     type_to_dict,
 )
 from tropi.combtypes import solve_balancing
+from tropi.cones import ComplexError
 from tropi.enumeration import DegreeCatalogue
 from tropi.smoothing import verify_realization
 from tropi.subdivide import stellar
@@ -132,6 +136,26 @@ class TestSubdivisionCommands:
         assert code == 0
         sub = subdivision_from_dict(load_json(out))
         assert set(sub.refined.rays) == {(1, 0), (2, 1), (1, 1), (1, 2), (0, 1)}
+
+    def test_sensitize_overlapping_target_exit_2(self, files):
+        # the payload of test_cones' test_overlapping_cones_rejected
+        payload = {
+            "ambient_dim": 2,
+            "rays": [[1, 0], [0, 1], [1, 1], [1, -1]],
+            "max_cones": [[0, 1], [2, 3]],
+        }
+        with pytest.raises(ComplexError):
+            complex_from_dict(payload)
+        target = os.path.join(files["dir"], "overlap.json")
+        save_json(target, payload)
+        out = os.path.join(files["dir"], "sub.json")
+        result = run(
+            ["sensitize", "--target", target, "--slopes", files["slopes"],
+             "--out", out]
+        )
+        assert result.exit_code == 2
+        assert "common face" in result.summary
+        assert not os.path.exists(out)
 
     def test_sensitize_for_data(self, files):
         out = os.path.join(files["dir"], "sub.json")
@@ -289,3 +313,53 @@ class TestPlumbing:
         result = run(["validate", "--type", files["solved"]])
         assert result.exit_code == 0
         assert result.summary
+
+
+_JUNK = [None, True, -1, 0, 7, "x", "1/2", [], [0], [-1], [0, 1, 2], [["a"]], {}]
+
+
+def _mutated(rng, payload):
+    """A copy of a JSON payload with one random node replaced or deleted."""
+    data = json.loads(json.dumps(payload))
+    parent, key, node = None, None, data
+    while isinstance(node, (dict, list)) and node:
+        if parent is not None and rng.random() < 0.25:
+            break
+        parent = node
+        key = rng.choice(sorted(node) if isinstance(node, dict) else range(len(node)))
+        node = node[key]
+    if isinstance(parent, dict) and rng.random() < 0.2:
+        del parent[key]
+    else:
+        parent[key] = rng.choice(_JUNK)
+    return data
+
+
+class TestMutatedPayloads:
+    def test_documented_exit_codes_only(self, files):
+        """Mutated golden payloads exit 0, 1, 2 or 3; none raises."""
+        rng = random.Random(17)
+        sources = [load_json(files["type"]), load_json(files["solved"])]
+        subdivision = subdivision_to_dict(stellar(quadrant(), frozenset({0, 1})))
+        path = os.path.join(files["dir"], "mutated.json")
+        out = os.path.join(files["dir"], "out.json")
+        commands = [
+            ["validate", "--type", path],
+            ["balance", "--type", path, "--out", out],
+            ["gathmann", "--type", path],
+            ["smoothable", "--type", path, "--method", "both"],
+            ["render", "--type", path, "--out", out],
+            ["lift-lambda", "--subdivision", path, "--lambda", files["lambda"],
+             "--out", out],
+        ]
+        codes = set()
+        for i in range(300):
+            argv = commands[i % len(commands)]
+            payload = subdivision if argv[0] == "lift-lambda" else sources[i % 2]
+            for _ in range(1 + rng.randrange(2)):
+                payload = _mutated(rng, payload)
+            save_json(path, payload)
+            code = run(argv).exit_code
+            assert code in {0, 1, 2, 3}, (argv[0], payload)
+            codes.add(code)
+        assert {1, 2} <= codes

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from tropi.combtypes import CombinatorialType, DecoratedGraph, solve_balancing
@@ -79,6 +81,12 @@ class TestSvg:
         octant = build_snc_tropicalization(3, [{1}, {2}, {3}])
         with pytest.raises(RenderError, match="dot"):
             render_svg(octant)
+
+    def test_rejects_realization_of_another_type(self):
+        t, r = realized_ray_type()
+        for positions in ({"u": r.vertex_positions["u"]}, {"u": (0,), "w": (1,)}):
+            with pytest.raises(RenderError, match="every vertex"):
+                render_svg(t.target, t, replace(r, vertex_positions=positions))
 
     def test_coordinates_are_plain_decimals(self):
         import re

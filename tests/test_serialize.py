@@ -25,6 +25,8 @@ from tropi.serialize import (
     type_from_dict,
     type_to_dict,
 )
+from tropi.combtypes import TypeProblem
+from tropi.cones import ComplexError
 from tropi.subdivide import identity_subdivision, sensitize, stellar
 
 from fixtures import golden_lambda, golden_type, quadrant
@@ -178,3 +180,24 @@ class TestBadPayloads:
         data["cone_image"] = data["cone_image"][:-1]
         with pytest.raises(SerializationError):
             subdivision_from_dict(data)
+
+    def test_bad_subdivision_pairs(self):
+        s = stellar(quadrant(), frozenset({0, 1}))
+        for bad in ([0], [0, 1, 2], [-1, 0], [0, -1]):
+            data = _json_round(subdivision_to_dict(s))
+            data["cone_image"][-1] = bad
+            with pytest.raises(SerializationError):
+                subdivision_from_dict(data)
+
+    def test_complex_cone_on_missing_ray(self):
+        data = complex_to_dict(quadrant())
+        data["max_cones"] = [[0, 5]]
+        with pytest.raises(ComplexError):
+            complex_from_dict(data)
+
+    def test_type_cone_on_missing_ray(self):
+        data = _json_round(type_to_dict(golden_type()))
+        vertex = sorted(data["cone_of"]["vertices"])[0]
+        data["cone_of"]["vertices"][vertex] = [0, 5]
+        with pytest.raises(TypeProblem):
+            type_from_dict(data)

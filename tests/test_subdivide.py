@@ -11,6 +11,7 @@ from tropi.cones import (
     minimal_containing_cone,
 )
 from tropi.linalg import det, is_unimodular
+from generators import random_complex
 from tropi.subdivide import (
     common_refinement,
     compose,
@@ -183,6 +184,10 @@ class TestTriangulate:
     def test_simplicial_passthrough(self):
         assert triangulate_cone([(1, 0), (0, 1)]) == [((0, 1), (1, 0))]
 
+    def test_non_extreme_rays_rejected(self):
+        with pytest.raises(ComplexError, match="not extreme"):
+            triangulate_cone([(1, 0), (1, 1), (0, 1)])
+
     def test_square_cone(self):
         rays = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
         pieces = triangulate_cone(rays)
@@ -278,3 +283,56 @@ class TestSupportPreservation:
             assert cone is not None
             image = s.cone_image[cone]
             assert s.base.cone_coords(image, p) is not None
+
+
+def _in_support_point(rng, fan):
+    """A nonzero integer point of a random maximal cone of fan."""
+    gens = fan.generators(frozenset(rng.choice(fan.max_cones)))
+    weights = [0] * len(gens)
+    while not any(weights):
+        weights = [rng.randint(0, 3) for _ in gens]
+    return tuple(
+        sum(w * g[r] for w, g in zip(weights, gens))
+        for r in range(fan.ambient_dim)
+    )
+
+
+class TestRefinementsAreValidComplexes:
+    """Subdivisions skip the pairwise common-face check of ConeComplex; the
+    public constructor is the oracle that their outputs would pass it."""
+
+    def test_rebuild_through_public_constructor(self):
+        rng = random.Random(2024)
+        checked = 0
+        for i in range(24):
+            fan = random_complex(rng, 2 + i % 2)
+            p, q = _in_support_point(rng, fan), _in_support_point(rng, fan)
+            a = stellar_at_point(fan, p).refined
+            b = stellar_at_point(fan, q).refined
+            outs = [fan, a, b, common_refinement(a, b), resolve_smooth(a).refined]
+            big = [frozenset(c) for c in fan.max_cones if len(c) >= 2]
+            if big:
+                outs.append(stellar(fan, rng.choice(big)).refined)
+            h = [rng.randint(-2, 2) for _ in range(fan.ambient_dim)]
+            if any(h):
+                outs.append(slice_by_hyperplane(fan, h))
+            # a refined 3D fan can have overlapping coordinate shadows,
+            # which sensitize rejects; use the unrefined SNC fans there
+            if fan.ambient_dim == 2 or len(fan.rays) == 3:
+                outs.append(sensitize(fan, [p, q]).refined)
+            for out in outs:
+                assert ConeComplex(out.ambient_dim, out.rays, out.max_cones) == out
+                checked += 1
+        assert checked > 150
+
+    def test_pairwise_check_not_reached(self, monkeypatch):
+        base = ConeComplex(2, [(1, 0), (1, 7)], [{0, 1}])
+        target = octant()
+
+        def fail(self, c1, c2):
+            raise AssertionError("pairwise check reached")
+
+        monkeypatch.setattr(ConeComplex, "_pair_is_common_face", fail)
+        assert len(resolve_smooth(base).refined.rays) == 8
+        s = sensitize(target, [(1, 1, 2), (1, 2, 0)])
+        assert (1, 1, 2) in s.refined.rays and (1, 2, 0) in s.refined.rays
