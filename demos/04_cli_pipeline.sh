@@ -38,7 +38,8 @@ tropi enumerate --target complex.json --lambda lambda.json \
 head -c 200 types/index.json; echo
 
 echo "-- render"
-tropi render --type balanced.json --format dot | head -n 5
+tropi render --type balanced.json --format dot --out graph.dot
+head -n 5 graph.dot
 
 echo "-- selftest"
 tropi selftest

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cones import (
-    ComplexError,
     Cone,
     ConeComplex,
     fan_coordinates,
@@ -85,20 +84,14 @@ class DecoratedGraph:
                 raise TypeProblem(f"bad edge ({a},{b})")
         if len(self.edges) != len(self.vertices) - 1:
             raise TypeProblem("graph is not a tree (#edges != #vertices - 1)")
-        # connectivity
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if seen != vs:
+        # not fields: equality, replace and serialization ignore them
+        inc: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            inc[e[0]].append(e)
+            inc[e[1]].append(e)
+        object.__setattr__(self, "_inc", inc)
+        root = self.vertices[0]
+        if {root} | {w for _, _, w in self.walk(root)} != vs:
             raise TypeProblem("graph is not connected")
         labels = sorted(j for _, j in self.legs)
         if labels != list(range(1, len(labels) + 1)):
@@ -108,24 +101,37 @@ class DecoratedGraph:
                 raise TypeProblem("leg attached to missing vertex")
         if set(self.degrees) != vs:
             raise TypeProblem("degree vector required for every vertex")
+        legs_at: dict[str, list[int]] = {v: [] for v in self.vertices}
+        for v, j in self.legs:
+            legs_at[v].append(j)
+        object.__setattr__(self, "_legs_at", legs_at)
+
+    def walk(self, root: str) -> Iterator[tuple[str, Edge, str]]:
+        """Depth-first walk of the tree: (v, e, w) for every edge e, where w
+        is first reached from v.  Pops the stack, then visits v's edges in
+        ``edges`` order."""
+        seen = {root}
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for e in self._inc[v]:
+                w = e[1] if e[0] == v else e[0]
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+                    yield v, e, w
 
     def neighbors(self, v: str) -> list[str]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
+        return [e[1] if e[0] == v else e[0] for e in self._inc.get(v, ())]
 
     def incident_edges(self, v: str) -> list[Edge]:
-        return [e for e in self.edges if v in e]
+        return list(self._inc.get(v, ()))
 
     def legs_at(self, v: str) -> list[int]:
-        return [j for w, j in self.legs if w == v]
+        return list(self._legs_at.get(v, ()))
 
     def valence(self, v: str) -> int:
-        return len(self.incident_edges(v))
+        return len(self._inc.get(v, ()))
 
 
 @dataclass
@@ -220,32 +226,22 @@ def ray_coefficient(
     The coefficient of the indicator piecewise-linear function; None when p
     is outside the support.
     """
-    cone = minimal_containing_cone(target, p)
-    if cone is None:
-        return None
-    if ray_id not in cone:
-        return Fraction(0)
-    coords = target.cone_coords(cone, p)
-    if coords is None:
-        raise ComplexError(f"point {tuple(p)} is not in its minimal cone")
-    return coords[sorted(cone).index(ray_id)]
+    coords = fan_coordinates(target, p)
+    return None if coords is None else coords[ray_id]
 
 
-def cone_coefficient(
-    target: ConeComplex, cone: Cone, vector: Sequence, ray_id: int
-) -> Optional[Fraction]:
-    """Coefficient of a vector on one generator of the given cone.
-
-    Requires the vector to lie in the span of the cone's generators;
-    returns None when it does not (a support violation).
-    """
-    kern = target.kernel(cone)
-    nums = kern.numerators(vector)
+def _edge_coefficients(
+    t: CombinatorialType, e: Edge
+) -> Optional[dict[int, Fraction]]:
+    """Coefficients of e's slope, oriented away from e[0], on the generators
+    of its cone, keyed by ray id; None when the slope is off their span."""
+    m = t.slope_from(e[0], e)
+    cone = t.edge_cones[e]
+    kern = t.target.kernel(cone)
+    nums = kern.numerators(m)
     if nums is None:
         return None
-    if ray_id not in cone:
-        return Fraction(0)
-    return Fraction(nums[sorted(cone).index(ray_id)], kern.denom)
+    return {i: Fraction(x, kern.denom) for i, x in zip(sorted(cone), nums)}
 
 
 def check_global_balancing(
@@ -290,57 +286,22 @@ def solve_balancing(
     g = t.graph
     if root is None:
         root = g.vertices[0]
-    k_amb = t.target.ambient_dim
-    n_rays = len(t.target.rays)
-    # orient the tree away from the root
-    parent: dict[str, Optional[str]] = {root: None}
-    order = [root]
-    frontier = [root]
-    while frontier:
-        v = frontier.pop()
-        for w in g.neighbors(v):
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-                frontier.append(w)
-
+    rays, k_amb = t.target.rays, t.target.ambient_dim
     # per vertex, per ray: degree minus legs minus solved children
     residual = {v: _vertex_imbalance(t, v) for v in g.vertices}
-    solved: dict[Edge, list[Fraction]] = {}
-    up_coords: dict[str, list[Fraction]] = {}
-    for v in reversed(order):
-        if parent[v] is None:
-            for i in range(n_rays):
-                if residual[v][i] != 0:
-                    raise TypeProblem(
-                        f"global balancing fails in ray direction {i}"
-                    )
-            continue
-        coords = list(residual[v])
-        up_coords[v] = coords
-        for i in range(n_rays):
-            residual[parent[v]][i] += coords[i]  # parent receives -m(up)
-        e = next(
-            e for e in g.edges if set(e) == {v, parent[v]}
-        )
-        solved[e] = coords
-
-    # convert fan coordinates into ambient slope vectors
     out: dict[Edge, IntVector] = {}
-    for e, coords in solved.items():
-        child = e[0] if parent.get(e[0]) == e[1] else e[1]
-        vec = [Fraction(0)] * k_amb
+    for v, e, w in reversed(list(g.walk(root))):
+        coords = residual[w]
         for i, c in enumerate(coords):
-            for r in range(k_amb):
-                vec[r] += c * t.target.rays[i][r]
-        # orientation away from the stored first endpoint
-        if e[0] == child:
-            amb = tuple(vec)
-        else:
-            amb = tuple(-x for x in vec)
-        for x in amb:
-            assert x.denominator == 1, "balancing solution must be integral"
-        out[e] = tuple(int(x) for x in amb)
+            residual[v][i] += c  # the parent receives -m(up)
+        # integral: fan coordinates rebuild every in-support leg slope, so
+        # this is an integer combination of rays minus integer leg slopes
+        vec = [sum(c * r[k] for c, r in zip(coords, rays)) for k in range(k_amb)]
+        sign = 1 if e[0] == w else -1  # oriented away from e[0]
+        out[e] = tuple(int(sign * x) for x in vec)
+    for i, c in enumerate(residual[root]):
+        if c != 0:
+            raise TypeProblem(f"global balancing fails in ray direction {i}")
     return out
 
 
@@ -397,28 +358,19 @@ def validate_type(t: CombinatorialType) -> ValidationReport:
 
         # support: slope lies in the span of the edge cone's generators
         all_ok, detail = True, ""
-        for e in g.edges:
-            m = t.slope_from(e[0], e)
-            cone = t.edge_cones[e]
-            ref = sorted(cone)[0] if cone else None
-            probe = (
-                cone_coefficient(t.target, cone, m, ref)
-                if ref is not None
-                else (Fraction(0) if is_zero(m) else None)
-            )
-            if probe is None:
+        coefs = {e: _edge_coefficients(t, e) for e in g.edges}
+        for e, c in coefs.items():
+            if c is None:
                 all_ok, detail = False, f"edge {e} slope not supported on its cone"
         add("slope-support", all_ok, detail)
 
         # positivity on new directions, per flag
         all_ok, detail = True, ""
-        for e in g.edges:
-            cone = t.edge_cones[e]
+        for e, coef in coefs.items():
             for v in e:
-                m = t.slope_from(v, e)
-                for i in cone - t.vertex_cones[v]:
-                    c = cone_coefficient(t.target, cone, m, i)
-                    if c is None or c <= 0:
+                sign = 1 if v == e[0] else -1
+                for i in t.edge_cones[e] - t.vertex_cones[v]:
+                    if coef is None or sign * coef[i] <= 0:
                         all_ok = False
                         detail = f"flag ({v},{e}) not positive on new direction {i}"
         add("positivity", all_ok, detail)
@@ -438,13 +390,27 @@ def check_gathmann(t: CombinatorialType) -> bool:
     if t.edge_slopes is None:
         raise TypeProblem("edge slopes must be solved before this check")
     g = t.graph
+    leg_coords = {j: fan_coordinates(t.target, m) for j, m in t.leg_slopes.items()}
+    coefs: dict[Edge, Optional[dict[int, Fraction]]] = {}
+
+    def coefficient(v: str, e: Edge, i: int) -> Optional[Fraction]:
+        """Coefficient on ray i of e's slope oriented away from v.  Each edge
+        is read on first use, so an early False still comes before a read
+        that would raise on a malformed cone."""
+        if e not in coefs:
+            coefs[e] = _edge_coefficients(t, e)
+        coef = coefs[e]
+        if coef is None:
+            return None
+        c = coef.get(i, Fraction(0))
+        return c if v == e[0] else -c
+
     for i in range(len(t.target.rays)):
         inside = {v for v in g.vertices if i in t.vertex_cones[v]}
         # condition on vertices outside: direction i only enters toward inside
         for v in (v for v in g.vertices if v not in inside):
             for e in g.incident_edges(v):
-                m = t.slope_from(v, e)
-                c = cone_coefficient(t.target, t.edge_cones[e], m, i)
+                c = coefficient(v, e, i)
                 if c is None:
                     return False
                 if c != 0:
@@ -469,16 +435,14 @@ def check_gathmann(t: CombinatorialType) -> bool:
             for v in comp:
                 total += t.graph.degrees[v][i]
                 for j in g.legs_at(v):
-                    c = ray_coefficient(t.target, i, t.leg_slopes[j])
-                    if c is None:
+                    if leg_coords[j] is None:
                         return False
-                    total -= c
+                    total -= leg_coords[j][i]
                 for e in g.incident_edges(v):
                     other = e[0] if e[1] == v else e[1]
                     if other in comp:
                         continue
-                    m = t.slope_from(other, e)  # oriented into the component
-                    c = cone_coefficient(t.target, t.edge_cones[e], m, i)
+                    c = coefficient(other, e, i)  # oriented into the component
                     if c is None:
                         return False
                     total += c
@@ -651,9 +615,9 @@ def lift_numerical_data(sub, lam: NumericalData) -> NumericalData:
 
     exc_values = [Fraction(int(i == e_id)) for i in range(len(refined.rays))]
     p_exc = PLFunction(refined, exc_values)
-    d_e = sum((evaluate_pl(p_exc, a) for a in lam.alphas), Fraction(0))
-    assert d_e.denominator == 1
-    d_e = int(d_e)
+    # integral: the refined complex is smooth, so lattice points have
+    # integer coordinates
+    d_e = int(sum((evaluate_pl(p_exc, a) for a in lam.alphas), Fraction(0)))
 
     center_base_ids = set(center)
     new_degree = []

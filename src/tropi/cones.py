@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from itertools import combinations
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -316,6 +317,10 @@ def evaluate_pl(f: PLFunction, p: Sequence) -> Fraction:
 # -- coordinate projections ---------------------------------------------
 
 
+def _cross(u: Sequence, v: Sequence):
+    return u[0] * v[1] - u[1] * v[0]
+
+
 def angular_sorted(items: list, point=lambda v: v) -> list:
     """Items sorted by the angle of point(item) in the plane, counterclockwise
     starting from the +x axis."""
@@ -327,10 +332,20 @@ def angular_sorted(items: list, point=lambda v: v) -> list:
         u, v = point(a), point(b)
         if half(u) != half(v):
             return half(u) - half(v)
-        cross = u[0] * v[1] - u[1] * v[0]
+        cross = _cross(u, v)
         return -1 if cross > 0 else (1 if cross < 0 else 0)
 
     return sorted(items, key=cmp_to_key(cmp))
+
+
+def _in_sector(rays: list, p: Sequence) -> bool:
+    """True iff p lies in the plane cone spanned by rays: some pair of them
+    spans p (Caratheodory in the plane)."""
+    for u, v in combinations(rays, 2):
+        d = _cross(u, v)
+        if d and _cross(p, v) * d >= 0 and _cross(u, p) * d >= 0:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -361,6 +376,7 @@ def coordinate_projection(c: ConeComplex, I: Iterable[int]) -> CoordinateProject
 
     image_rays: set[IntVector] = set()
     image_cones: list[frozenset[IntVector]] = []
+    sectors: list[list[IntVector]] = []  # 2D images, cut into cones below
     per_source: dict[tuple[int, ...], tuple[IntVector, ...]] = {}
     for mc in c.max_cones:
         imgs = [proj(c.rays[i]) for i in mc]
@@ -387,11 +403,13 @@ def coordinate_projection(c: ConeComplex, I: Iterable[int]) -> CoordinateProject
                 image_cones.append(frozenset([v]))
                 per_source[mc] = (v,)
                 continue
+            image_rays.update(prims)
+            sectors.append(prims)
+            # the extreme rays bound the one gap of at least a half-turn
             ordered = angular_sorted(prims)
-            image_rays.update(ordered)
-            for a, b in zip(ordered, ordered[1:]):
-                image_cones.append(frozenset([a, b]))
-            per_source[mc] = (ordered[0], ordered[-1])
+            gaps = (i for i, u in enumerate(ordered) if _cross(ordered[i - 1], u) <= 0)
+            i = next(gaps, 0)
+            per_source[mc] = (ordered[i], ordered[i - 1])
             continue
         # higher-dimensional image: only simplicial images are supported
         if mat_rank(prims) != len(prims):
@@ -403,6 +421,14 @@ def coordinate_projection(c: ConeComplex, I: Iterable[int]) -> CoordinateProject
         image_cones.append(frozenset(prims))
         per_source[mc] = tuple(sorted(prims))
 
+    if sectors:
+        # one cone per pair of angularly adjacent image rays inside a sector,
+        # so no image ray lies inside a cone and overlapping sectors merge
+        ordered = angular_sorted(list(image_rays))
+        for a, b in zip(ordered, ordered[1:] + ordered[:1]):
+            mid = (a[0] + b[0], a[1] + b[1])
+            if _cross(a, b) > 0 and any(_in_sector(s, mid) for s in sectors):
+                image_cones.append(frozenset([a, b]))
     ray_list = sorted(image_rays)
     img = ConeComplex(
         d,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional
 
-from .cones import Cone, ConeComplex, minimal_containing_cone
+from .cones import ComplexError, Cone, ConeComplex, minimal_containing_cone
 from .combtypes import (
     CombinatorialType,
     DecoratedGraph,
@@ -247,5 +247,6 @@ def sensitize_for_data(
     slopes = collect_sensitive_slopes(types)
     sub = sensitize(target, slopes)
     for s in slopes:
-        assert primitive(s) in sub.refined.rays, "slope missing from refinement"
+        if primitive(s) not in sub.refined.rays:
+            raise ComplexError(f"slope {s} is missing from the refinement")
     return sub

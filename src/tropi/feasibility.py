@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .linalg import QVector, vec_dot
+from .linalg import LinAlgError, QVector, vec_dot
 
 Row = tuple[tuple[Fraction, ...], Fraction]
 IntRow = tuple[tuple[int, ...], int]
@@ -157,7 +157,8 @@ def fm_feasible(system: LinearSystem) -> Optional[QVector]:
         x[piv] = sum(e * v for e, v in zip(expr, x)) + const
 
     witness = tuple(x)
-    assert system.satisfied_by(witness)
+    if not system.satisfied_by(witness):
+        raise LinAlgError("Fourier-Motzkin witness fails its own system")
     return witness
 
 

@@ -159,17 +159,8 @@ def lattice_index(rows: Sequence[IntVector]) -> int:
 def is_unimodular(vs: Sequence[IntVector]) -> bool:
     """True iff the vectors extend to a basis of the ambient integer lattice.
 
-    Decided by elementary divisors, with a determinant fast path for square
-    input.  Raises on linearly dependent input.
+    Decided by elementary divisors.  Raises on linearly dependent input.
     """
-    if not vs:
-        return True
-    k = len(vs[0])
-    if len(vs) == k:
-        d = det([list(v) for v in vs])
-        if d == 0:
-            raise LinAlgError("not a simplicial generator set")
-        return abs(d) == 1
     return lattice_index(vs) == 1
 
 

@@ -27,7 +27,6 @@ from .combtypes import (
     ValidationCheck,
     ValidationReport,
 )
-from .cones import Cone
 from .feasibility import LinearSystem, fm_feasible, simplex_feasible
 from .linalg import QVector, vec_add, vec_scale
 
@@ -126,19 +125,9 @@ def _path_slopes(t: CombinatorialType, root: str) -> dict[str, dict[Edge, int]]:
 
     Sign +1 means the stored orientation points away from the root.
     """
-    g = t.graph
     paths: dict[str, dict[Edge, int]] = {root: {}}
-    frontier = [root]
-    while frontier:
-        v = frontier.pop()
-        for e in g.incident_edges(v):
-            w = e[0] if e[1] == v else e[1]
-            if w in paths:
-                continue
-            step = dict(paths[v])
-            step[e] = 1 if e[0] == v else -1
-            paths[w] = step
-            frontier.append(w)
+    for v, e, w in t.graph.walk(root):
+        paths[w] = {**paths[v], e: 1 if e[0] == v else -1}
     return paths
 
 
@@ -290,59 +279,40 @@ def smooth_construct(t: CombinatorialType, start: Optional[str] = None) -> Reali
         start: tuple(Fraction(x) for x in t.target.barycenter(t.vertex_cones[start]))
     }
     lengths: dict[Edge, Fraction] = {}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for e in g.incident_edges(v):
-            w = e[0] if e[1] == v else e[1]
-            if w in positions:
-                continue
-            cone = t.edge_cones[e]
-            ids = sorted(cone)
-            m = t.slope_from(v, e)
-            if not cone:
-                # contracted edge at the origin: any positive length works
-                if any(m):
-                    raise TypeProblem(f"edge {e} at the origin has a nonzero slope")
-                lengths[e] = Fraction(1)
-                positions[w] = positions[v]
-                frontier.append(w)
-                continue
-            # coordinates times the kernel denominator; only ratios are used
-            kern = t.target.kernel(cone)
-            mu = kern.numerators(positions[v])
-            a = kern.numerators(m)
-            if mu is None or a is None:
-                raise TypeProblem(f"edge {e} leaves the span of its cone")
-            dropped = [i for i, rid in enumerate(ids) if rid not in t.vertex_cones[w]]
-            if dropped:
-                (i0,) = dropped
-                if not (a[i0] < 0 and mu[i0] > 0):
-                    raise TypeProblem(f"edge {e} cannot descend to the cone of {w}")
-                length = Fraction(mu[i0], -a[i0])
-            else:
-                bounds = [
-                    Fraction(mu[i], -a[i]) for i in range(len(ids)) if a[i] < 0
-                ]
-                length = min(bounds) / 2 if bounds else Fraction(1)
-            if length <= 0:
-                raise TypeProblem(f"edge {e} gets no positive length")
-            lengths[e] = length
-            positions[w] = vec_add(positions[v], vec_scale(length, m))
-            frontier.append(w)
+    for v, e, w in g.walk(start):
+        cone = t.edge_cones[e]
+        ids = sorted(cone)
+        m = t.slope_from(v, e)
+        if not cone:
+            # contracted edge at the origin: any positive length works
+            if any(m):
+                raise TypeProblem(f"edge {e} at the origin has a nonzero slope")
+            lengths[e] = Fraction(1)
+            positions[w] = positions[v]
+            continue
+        # coordinates times the kernel denominator; only ratios are used
+        kern = t.target.kernel(cone)
+        mu = kern.numerators(positions[v])
+        a = kern.numerators(m)
+        if mu is None or a is None:
+            raise TypeProblem(f"edge {e} leaves the span of its cone")
+        dropped = [i for i, rid in enumerate(ids) if rid not in t.vertex_cones[w]]
+        if dropped:
+            (i0,) = dropped
+            if not (a[i0] < 0 and mu[i0] > 0):
+                raise TypeProblem(f"edge {e} cannot descend to the cone of {w}")
+            length = Fraction(mu[i0], -a[i0])
+        else:
+            bounds = [Fraction(mu[i], -a[i]) for i in range(len(ids)) if a[i] < 0]
+            length = min(bounds) / 2 if bounds else Fraction(1)
+        if length <= 0:
+            raise TypeProblem(f"edge {e} gets no positive length")
+        lengths[e] = length
+        positions[w] = vec_add(positions[v], vec_scale(length, m))
     return Realization(start, lengths, positions)
 
 
 # -- verification -----------------------------------------------------------
-
-
-def _interior_coords(
-    t: CombinatorialType, cone: Cone, p: QVector
-) -> Optional[list[Fraction]]:
-    coords = t.target.cone_coords(cone, p)
-    if coords is None:
-        return None
-    return list(coords)
 
 
 def verify_realization(t: CombinatorialType, r: Realization) -> ValidationReport:
@@ -373,7 +343,7 @@ def verify_realization(t: CombinatorialType, r: Realization) -> ValidationReport
 
     ok, detail = True, ""
     for v in g.vertices:
-        coords = _interior_coords(t, t.vertex_cones[v], r.vertex_positions[v])
+        coords = t.target.cone_coords(t.vertex_cones[v], r.vertex_positions[v])
         if coords is None or any(c <= 0 for c in coords):
             ok, detail = False, f"vertex {v} not interior to its cone"
     add("vertex-interiority", ok, detail)
@@ -385,7 +355,7 @@ def verify_realization(t: CombinatorialType, r: Realization) -> ValidationReport
             (x + y) / 2
             for x, y in zip(r.vertex_positions[a], r.vertex_positions[b])
         )
-        coords = _interior_coords(t, t.edge_cones[e], mid)
+        coords = t.target.cone_coords(t.edge_cones[e], mid)
         if coords is None or any(c <= 0 for c in coords):
             ok, detail = False, f"edge {e} midpoint not interior to its cone"
     add("edge-interiority", ok, detail)
@@ -393,8 +363,8 @@ def verify_realization(t: CombinatorialType, r: Realization) -> ValidationReport
     ok, detail = True, ""
     for v, j in g.legs:
         cone = t.leg_cones[j]
-        pos = _interior_coords(t, cone, r.vertex_positions[v])
-        slope = _interior_coords(t, cone, t.leg_slopes[j])
+        pos = t.target.cone_coords(cone, r.vertex_positions[v])
+        slope = t.target.cone_coords(cone, t.leg_slopes[j])
         if pos is None or slope is None:
             ok, detail = False, f"leg {j} leaves the span of its cone"
             continue

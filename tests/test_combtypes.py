@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from tropi.cones import ORIGIN, minimal_containing_cone
+from tropi.cones import ORIGIN, ConeComplex, minimal_containing_cone
 from tropi.combtypes import (
     CombinatorialType,
     DecoratedGraph,
@@ -22,6 +23,36 @@ from tropi.linalg import solve_rational_system, vec_dot
 from tropi.subdivide import compose, identity_subdivision, stellar, stellar_at_point
 
 from fixtures import E1, E2, deg, golden_graph, golden_lambda, golden_type, quadrant
+from generators import random_tree_edges
+
+
+def random_graph(rng, n_rays=1):
+    """Seeded tree with shuffled edge order and orientation, plus legs."""
+    names = [f"v{i}" for i in range(rng.randint(1, 9))]
+    edges = [e if rng.random() < 0.5 else e[::-1] for e in random_tree_edges(rng, names)]
+    rng.shuffle(edges)
+    rng.shuffle(names)
+    labels = list(range(1, rng.randint(0, 5) + 1))
+    rng.shuffle(labels)
+    legs = [(rng.choice(names), j) for j in labels]
+    degrees = {v: tuple(rng.randint(-2, 3) for _ in range(n_rays)) for v in names}
+    return DecoratedGraph(names, edges, legs, degrees)
+
+
+def frontier_walk(g, root):
+    """The hand-written walk the graph layer replaced: pop the stack, then
+    scan every edge for the ones at v."""
+    seen, frontier, out = {root}, [root], []
+    while frontier:
+        v = frontier.pop()
+        for e in [e for e in g.edges if v in e]:
+            w = e[0] if e[1] == v else e[1]
+            if w in seen:
+                continue
+            seen.add(w)
+            out.append((v, e, w))
+            frontier.append(w)
+    return out
 
 
 class TestGraph:
@@ -48,6 +79,36 @@ class TestGraph:
         g = golden_graph()
         assert g.valence("v3") == 2
         assert g.legs_at("v3") == [3]
+
+    def test_walk_matches_frontier_loop(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            g = random_graph(rng)
+            for root in g.vertices:
+                walk = list(g.walk(root))
+                assert walk == frontier_walk(g, root)
+                assert {w for _, _, w in walk} | {root} == set(g.vertices)
+
+    def test_adjacency_matches_scan(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            g = random_graph(rng)
+            for v in g.vertices:
+                scan = [e for e in g.edges if v in e]
+                assert g.incident_edges(v) == scan
+                assert g.neighbors(v) == [b if a == v else a for a, b in scan]
+                assert g.legs_at(v) == [j for w, j in g.legs if w == v]
+                assert g.valence(v) == len(scan)
+
+    def test_equality_ignores_adjacency(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            g = random_graph(rng)
+            same = DecoratedGraph(g.vertices, g.edges, g.legs, g.degrees)
+            assert same == g
+            copy = dataclasses.replace(g)
+            assert copy == g
+            assert all(copy.neighbors(v) == g.neighbors(v) for v in g.vertices)
 
 
 class TestBalancing:
@@ -89,6 +150,45 @@ class TestBalancing:
         )
         with pytest.raises(TypeProblem, match="direction"):
             solve_balancing(t2)
+
+    def test_integral_on_non_unimodular_target(self):
+        # fan coordinates of (1,1) over (1,0), (1,2) are (1/2, 1/2)
+        target = ConeComplex(2, [(1, 0), (1, 2)], [{0, 1}])
+        rays = target.rays
+        pool = [(1, 1), (2, 1), (3, 1), (2, 3), (1, 0), (1, 2)]
+        rng = random.Random(14)
+        for _ in range(40):
+            names = [f"v{i}" for i in range(rng.randint(1, 6))]
+            edges = random_tree_edges(rng, names)
+            slopes = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+            if sum(s[1] for s in slopes) % 2:
+                slopes.append((1, 1))
+            legs = [(rng.choice(names), j + 1) for j in range(len(slopes))]
+            # integral total degree; the split over the vertices is random
+            half = sum(s[1] for s in slopes) // 2
+            total = [sum(s[0] for s in slopes) - half, half]
+            degrees = {v: [0, 0] for v in names}
+            for i in range(2):
+                for _ in range(total[i]):
+                    degrees[rng.choice(names)][i] += 1
+            g = DecoratedGraph(names, edges, legs, degrees)
+            t = CombinatorialType(
+                graph=g,
+                target=target,
+                vertex_cones={v: frozenset({0, 1}) for v in names},
+                edge_cones={e: frozenset({0, 1}) for e in edges},
+                leg_cones={j: frozenset({0, 1}) for _, j in legs},
+                leg_slopes={j: slopes[j - 1] for _, j in legs},
+            )
+            t = t.with_slopes(solve_balancing(t))
+            for m in t.edge_slopes.values():
+                assert all(type(x) is int for x in m)
+            for v in names:
+                d = g.degrees[v]
+                lhs = tuple(d[0] * rays[0][r] + d[1] * rays[1][r] for r in range(2))
+                out = [t.leg_slopes[j] for j in g.legs_at(v)]
+                out += [t.slope_from(v, e) for e in g.incident_edges(v)]
+                assert lhs == tuple(sum(m[r] for m in out) for r in range(2))
 
     def test_matches_linear_system_oracle(self):
         # stack the per-vertex equations and solve generically per direction;

@@ -15,8 +15,14 @@ from tropi.cones import (
     evaluate_pl,
     minimal_containing_cone,
 )
-from tropi.linalg import mat_rank, primitive, solve_rational_system, vec_dot
-from tropi.subdivide import halfspace_description, stellar_at_point
+from tropi.linalg import (
+    is_unimodular,
+    mat_rank,
+    primitive,
+    solve_rational_system,
+    vec_dot,
+)
+from tropi.subdivide import halfspace_description, sensitize, stellar_at_point
 
 
 def quadrant():
@@ -167,6 +173,31 @@ class TestProjection:
     def test_out_of_range(self):
         with pytest.raises(ComplexError):
             coordinate_projection(quadrant(), {3})
+
+    def test_sector_across_positive_x_axis(self):
+        c = ConeComplex(3, [(1, -1, 0), (1, 0, 1), (1, 1, 0)], [{0, 1, 2}])
+        pr = coordinate_projection(c, (1, 2))
+        assert pr.image == ConeComplex(
+            2, [(1, -1), (1, 0), (1, 1)], [{0, 1}, {1, 2}]
+        )
+        rays = pr.image.rays
+        assert pr.cone_images[(0, 1, 2)] == (rays.index((1, -1)), rays.index((1, 1)))
+
+    def test_overlapping_shadows_of_a_refined_octant(self):
+        fan = stellar_at_point(octant(), (1, 1, 1)).refined
+        fan = stellar_at_point(fan, (1, 2, 2)).refined
+        for pair in ((1, 2), (1, 3), (2, 3)):
+            img = coordinate_projection(fan, pair).image
+            # no image ray lies strictly inside an image cone
+            for r in img.rays:
+                cone = minimal_containing_cone(img, r)
+                assert cone is not None and len(cone) == 1
+        s = sensitize(fan, [])
+        assert len(s.refined.rays) == 12
+        assert all(
+            is_unimodular(s.refined.generators(frozenset(mc)))
+            for mc in s.refined.max_cones
+        )
 
 
 class TestCones:

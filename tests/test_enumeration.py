@@ -10,13 +10,15 @@ from tropi.combtypes import (
     solve_balancing,
     validate_type,
 )
-from tropi.cones import ORIGIN
+from tropi import enumeration
+from tropi.cones import ORIGIN, ComplexError
 from tropi.enumeration import (
     DegreeCatalogue,
     canonical_code,
     enumerate_types,
     sensitize_for_data,
 )
+from tropi.subdivide import identity_subdivision
 
 from fixtures import deg, golden_lambda, quadrant
 
@@ -183,6 +185,13 @@ class TestSensitizeForData:
             (1, 2),
             (0, 1),
         }
+
+    def test_missing_slope_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(
+            enumeration, "sensitize", lambda target, slopes: identity_subdivision(target)
+        )
+        with pytest.raises(ComplexError):
+            sensitize_for_data(quadrant(), golden_lambda(), CAT)
 
     def test_idempotent_on_ray_set(self):
         sub = sensitize_for_data(quadrant(), golden_lambda(), CAT)

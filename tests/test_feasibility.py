@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropi.feasibility import LinearSystem, fm_feasible, simplex_feasible
+from tropi.linalg import LinAlgError
 
 
 def make(n, eqs=(), ineqs=()):
@@ -19,6 +20,11 @@ def make(n, eqs=(), ineqs=()):
 class TestFourierMotzkin:
     def test_empty_system(self):
         assert fm_feasible(LinearSystem(2)) == (0, 0)
+
+    def test_failed_witness_check_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(LinearSystem, "satisfied_by", lambda self, w: False)
+        with pytest.raises(LinAlgError):
+            fm_feasible(make(1, ineqs=[((1,), 1)]))
 
     def test_box(self):
         s = make(2, ineqs=[((1, 0), 1), ((-1, 0), -3), ((0, 1), 2), ((0, -1), -2)])

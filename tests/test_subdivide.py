@@ -316,8 +316,9 @@ class TestRefinementsAreValidComplexes:
             h = [rng.randint(-2, 2) for _ in range(fan.ambient_dim)]
             if any(h):
                 outs.append(slice_by_hyperplane(fan, h))
-            # a refined 3D fan can have overlapping coordinate shadows,
-            # which sensitize rejects; use the unrefined SNC fans there
+            outs.append(sensitize(fan, []).refined)
+            # slopes on a refined 3D fan reach the slow witness search of
+            # resolve_smooth; draw them on 2D and unrefined SNC fans only
             if fan.ambient_dim == 2 or len(fan.rays) == 3:
                 outs.append(sensitize(fan, [p, q]).refined)
             for out in outs:
