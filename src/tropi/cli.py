@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 usage or I/O error, 2 validation failure,
 3 infeasible or empty result.  All file payloads are written atomically.
+A command that writes its payload to standard output prints its summary
+to standard error.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from . import worked_example
 class CommandResult:
     exit_code: int
     summary: str
-    payload_path: Optional[str] = None
+    payload_path: Optional[str] = None  # "-" for standard output
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -264,7 +266,7 @@ def _cmd_render(args) -> CommandResult:
         save_text(args.out, text)
         return CommandResult(0, f"wrote {args.fmt} to {args.out}", args.out)
     sys.stdout.write(text)
-    return CommandResult(0, f"rendered {args.fmt}")
+    return CommandResult(0, f"rendered {args.fmt}", "-")
 
 
 def _cmd_selftest(args) -> CommandResult:
@@ -350,9 +352,16 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     quiet = "--quiet" in argv
     result = run(argv)
-    if not quiet and result.summary:
-        stream = sys.stdout if result.exit_code == 0 else sys.stderr
-        print(result.summary, file=stream)
+    to_stdout = result.exit_code == 0 and result.payload_path != "-"
+    try:
+        if not quiet and result.summary:
+            print(result.summary, file=sys.stdout if to_stdout else sys.stderr)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so the interpreter's
+        # own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return result.exit_code
 
 

@@ -252,6 +252,8 @@ def check_global_balancing(
     Balancing per ray: the fan coordinates of the tangency vectors must sum
     to the total degree entry for that ray.
     """
+    if len(lam.total_degree) != len(target.rays):
+        raise TypeProblem("degree vector does not match the target rays")
     coords = [fan_coordinates(target, a) for a in lam.alphas]
     for i in range(len(target.rays)):
         if None in coords or sum(c[i] for c in coords) != lam.total_degree[i]:
@@ -514,9 +516,15 @@ def pushforward_type(sub, t: CombinatorialType) -> CombinatorialType:
     if t.target != sub.refined:
         raise TypeProblem("type does not live on the refined complex")
     g = t.graph
-    vertex_cones = {v: sub.cone_image[c] for v, c in t.vertex_cones.items()}
-    edge_cones = {e: sub.cone_image[c] for e, c in t.edge_cones.items()}
-    leg_cones = {j: sub.cone_image[c] for j, c in t.leg_cones.items()}
+
+    def image(c):
+        if c not in sub.cone_image:
+            raise TypeProblem(f"{sorted(c)} is not a cone of the refined complex")
+        return sub.cone_image[c]
+
+    vertex_cones = {v: image(c) for v, c in t.vertex_cones.items()}
+    edge_cones = {e: image(c) for e, c in t.edge_cones.items()}
+    leg_cones = {j: image(c) for j, c in t.leg_cones.items()}
     degrees = {v: _push_degree(sub, d) for v, d in g.degrees.items()}
     if t.edge_slopes is None:
         raise TypeProblem("solve edge slopes before pushing forward")
@@ -553,7 +561,7 @@ def pushforward_type(sub, t: CombinatorialType) -> CombinatorialType:
                     )
                 )
                 cone = minimal_containing_cone(sub.base, merged_cone_point)
-                if cone is None or not sub.base.has_cone(cone):
+                if cone is None:
                     raise TypeProblem("non-stabilizable pushforward")
                 edges = [e for e in edges if e not in (e1, e2)] + [merged]
                 slopes.pop(e1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional
 
-from .cones import ComplexError, Cone, ConeComplex, minimal_containing_cone
+from .cones import ORIGIN, ComplexError, Cone, ConeComplex, minimal_containing_cone
 from .combtypes import (
     CombinatorialType,
     DecoratedGraph,
@@ -36,9 +36,7 @@ class DegreeCatalogue:
     max_vertices: int
 
     def __init__(self, atoms: Iterable, max_vertices: int):
-        object.__setattr__(
-            self, "atoms", tuple(tuple(int(x) for x in a) for a in atoms)
-        )
+        object.__setattr__(self, "atoms", tuple(tuple(map(int, a)) for a in atoms))
         object.__setattr__(self, "max_vertices", int(max_vertices))
         if self.max_vertices < 1:
             raise TypeProblem("max_vertices must be positive")
@@ -50,15 +48,12 @@ def _prufer_trees(n: int) -> list[tuple[tuple[int, int], ...]]:
     """All labeled trees on vertices 0..n-1, as edge tuples."""
     if n == 1:
         return [()]
-    if n == 2:
-        return [((0, 1),)]
     trees = []
     for seq in product(range(n), repeat=n - 2):
-        degree = [1] * n
+        deg = [1] * n
         for x in seq:
-            degree[x] += 1
+            deg[x] += 1
         edges = []
-        deg = degree[:]
         for x in seq:
             leaf = min(i for i in range(n) if deg[i] == 1)
             edges.append((min(leaf, x), max(leaf, x)))
@@ -73,17 +68,12 @@ def _prufer_trees(n: int) -> list[tuple[tuple[int, int], ...]]:
 # -- canonical codes --------------------------------------------------------
 
 
-def _tree_centers(vertices: list[str], edges: list[tuple[str, str]]) -> list[str]:
-    if len(vertices) == 1:
-        return list(vertices)
-    adj = {v: set() for v in vertices}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    remaining = set(vertices)
+def _tree_centers(g: DecoratedGraph) -> list[str]:
+    remaining = set(g.vertices)
     while len(remaining) > 2:
-        leaves = [v for v in remaining if len(adj[v] & remaining) <= 1]
-        remaining -= set(leaves)
+        remaining -= {
+            v for v in remaining if sum(w in remaining for w in g.neighbors(v)) <= 1
+        }
     return sorted(remaining)
 
 
@@ -112,14 +102,11 @@ def canonical_code(t: CombinatorialType):
             w = e[0] if e[1] == v else e[1]
             if w == parent:
                 continue
-            ekey = (
-                tuple(sorted(t.edge_cones[e])),
-                t.slope_from(v, e),
-            )
+            ekey = (tuple(sorted(t.edge_cones[e])), t.slope_from(v, e))
             children.append((ekey, code(w, v)))
         return (vkey(v), tuple(sorted(children)))
 
-    return min(code(c, None) for c in _tree_centers(list(g.vertices), list(g.edges)))
+    return min(code(c, None) for c in _tree_centers(g))
 
 
 # -- the search --------------------------------------------------------------
@@ -128,7 +115,12 @@ def canonical_code(t: CombinatorialType):
 def enumerate_types(
     target: ConeComplex, lam: NumericalData, cat: DegreeCatalogue
 ) -> list[CombinatorialType]:
-    """All valid types with at most max_vertices vertices, canonically sorted."""
+    """All valid types with at most max_vertices vertices, canonically sorted.
+
+    The cone of an edge is the join of its endpoint cones: its slope must be
+    positive on every direction new to one end and negative on every
+    direction new to the other, so no direction is new to both.
+    """
     leg_cones: dict[int, Cone] = {}
     for j, alpha in enumerate(lam.alphas, start=1):
         cone = minimal_containing_cone(target, alpha)
@@ -138,102 +130,79 @@ def enumerate_types(
     bad = check_global_balancing(target, lam)
     if bad is not None:
         raise TypeProblem(f"global balancing fails in ray direction {bad}")
-    n = lam.n
-    all_cones = sorted(target.cones(), key=lambda c: sorted(c))
+    leg_slopes = dict(enumerate(lam.alphas, start=1))
+    all_cones = sorted(target.cones(), key=sorted)
     kernels = {c: target.kernel(c) for c in all_cones}
+    atoms = [a for a in cat.atoms if len(a) == len(target.rays)]
 
     found: dict[object, CombinatorialType] = {}
     for v_count in range(1, cat.max_vertices + 1):
         names = [f"v{i}" for i in range(v_count)]
         for shape in _prufer_trees(v_count):
             edges = [(names[a], names[b]) for a, b in shape]
-            for degs in product(cat.atoms, repeat=v_count):
-                if any(len(d) != len(target.rays) for d in degs):
+            for degs in product(atoms, repeat=v_count):
+                if tuple(map(sum, zip(*degs))) != lam.total_degree:
                     continue
-                total = tuple(sum(col) for col in zip(*degs))
-                if total != lam.total_degree:
-                    continue
-                degrees = dict(zip(names, degs))
-                for leg_assign in product(range(v_count), repeat=n):
-                    legs = [(names[w], j + 1) for j, w in enumerate(leg_assign)]
-                    graph = DecoratedGraph(names, edges, legs, degrees)
-                    base = CombinatorialType(
-                        graph=graph,
-                        target=target,
-                        vertex_cones={v: frozenset() for v in names},
-                        edge_cones={e: frozenset() for e in edges},
-                        leg_cones=dict(leg_cones),
-                        leg_slopes={
-                            j + 1: lam.alphas[j] for j in range(n)
-                        },
-                    )
+                for leg_assign in product(names, repeat=lam.n):
+                    legs = [(w, j) for j, w in enumerate(leg_assign, start=1)]
+                    graph = DecoratedGraph(names, edges, legs, dict(zip(names, degs)))
                     try:
-                        slopes = solve_balancing(base)
+                        slopes = solve_balancing(
+                            CombinatorialType(
+                                graph=graph,
+                                target=target,
+                                vertex_cones=dict.fromkeys(names, ORIGIN),
+                                edge_cones=dict.fromkeys(edges, ORIGIN),
+                                leg_cones=leg_cones,
+                                leg_slopes=leg_slopes,
+                            )
+                        )
                     except TypeProblem:
                         continue
-                    # per edge: slope coefficients over every candidate cone,
-                    # indexed by ray id (None when the slope is off-span); the
-                    # numerators suffice, since only signs are read and every
-                    # kernel denominator is positive
-                    edge_span = []
-                    for e in edges:
-                        table = {}
-                        for c, kern in kernels.items():
-                            nums = kern.numerators(slopes[e])
-                            table[c] = (
-                                None if nums is None else dict(zip(sorted(c), nums))
-                            )
-                        edge_span.append(table)
+                    # per edge: the slope's coordinate numerators over each
+                    # cone (None off its span); only their signs are read,
+                    # and every kernel denominator is positive
+                    spans = [
+                        {c: k.numerators(slopes[e]) for c, k in kernels.items()}
+                        for e in edges
+                    ]
                     # vertex cones constrained by the legs they carry
-                    vertex_options = []
-                    for v in names:
-                        opts = [
+                    vertex_options = [
+                        [
                             c
                             for c in all_cones
-                            if all(
-                                c <= leg_cones[j] for j in graph.legs_at(v)
-                            )
+                            if all(c <= leg_cones[j] for j in graph.legs_at(v))
                         ]
-                        vertex_options.append(opts)
+                        for v in names
+                    ]
                     for vcones in product(*vertex_options):
                         vertex_cones = dict(zip(names, vcones))
-                        edge_options = []
-                        for e, table in zip(edges, edge_span):
+                        edge_cones = {}
+                        for e, span in zip(edges, spans):
                             su, sv = vertex_cones[e[0]], vertex_cones[e[1]]
-                            lower = su | sv
-                            opts = []
-                            for c, coeff in table.items():
-                                if coeff is None or not lower <= c:
-                                    continue
-                                # slope must leave each endpoint strictly
-                                # along every direction new to that endpoint
-                                if any(coeff[i] <= 0 for i in c - su):
-                                    continue
-                                if any(coeff[i] >= 0 for i in c - sv):
-                                    continue
-                                opts.append(c)
-                            edge_options.append(opts)
-                        if any(not o for o in edge_options):
-                            continue
-                        for ecs in product(*edge_options):
+                            c = su | sv
+                            nums = span.get(c)
+                            # the slope leaves each endpoint strictly along
+                            # every direction new to that endpoint
+                            if nums is None or not all(
+                                (i in su or x > 0) and (i in sv or x < 0)
+                                for i, x in zip(sorted(c), nums)
+                            ):
+                                break
+                            edge_cones[e] = c
+                        else:
                             candidate = CombinatorialType(
                                 graph=graph,
                                 target=target,
                                 vertex_cones=vertex_cones,
-                                edge_cones=dict(zip(edges, ecs)),
-                                leg_cones=dict(leg_cones),
-                                leg_slopes={
-                                    j + 1: lam.alphas[j] for j in range(n)
-                                },
-                                edge_slopes=dict(slopes),
+                                edge_cones=edge_cones,
+                                leg_cones=leg_cones,
+                                leg_slopes=leg_slopes,
+                                edge_slopes=slopes,
                             )
-                            if not validate_type(candidate).valid:
-                                continue
-                            if not check_gathmann(candidate):
-                                continue
-                            key = canonical_code(candidate)
-                            if key not in found:
-                                found[key] = candidate
+                            valid = validate_type(candidate).valid
+                            if valid and check_gathmann(candidate):
+                                found.setdefault(canonical_code(candidate), candidate)
     return [found[k] for k in sorted(found)]
 
 

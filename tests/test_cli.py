@@ -24,10 +24,12 @@ from tropi.serialize import (
 from tropi.combtypes import solve_balancing
 from tropi.cones import ComplexError
 from tropi.enumeration import DegreeCatalogue
+from tropi.render import render_dot
 from tropi.smoothing import verify_realization
 from tropi.subdivide import stellar
 
 from fixtures import E1, E2, golden_lambda, golden_type, quadrant
+from test_combtypes import bivalent_type, off_fan_type
 from test_smoothing import broken_face_type, ray_type
 
 
@@ -224,6 +226,21 @@ class TestSubdivisionCommands:
         t = type_from_dict(load_json(out))
         assert set(t.graph.vertices) == {"v1", "v2", "v3"}
 
+    def test_pushforward_cone_not_in_refined_fan_exit_2(self, files):
+        sub = stellar(quadrant(), frozenset({0, 1}))
+        sub_path = os.path.join(files["dir"], "stellar.json")
+        save_json(sub_path, subdivision_to_dict(sub))
+        type_path = os.path.join(files["dir"], "off_fan.json")
+        save_json(type_path, type_to_dict(off_fan_type(sub.refined)))
+        out = os.path.join(files["dir"], "pushed.json")
+        result = run(
+            ["pushforward", "--subdivision", sub_path, "--type", type_path,
+             "--out", out]
+        )
+        assert result.exit_code == 2
+        assert "[0, 1] is not a cone" in result.summary
+        assert not os.path.exists(out)
+
 
 class TestEnumerate:
     def test_writes_types_and_index(self, files):
@@ -268,13 +285,32 @@ class TestEnumerate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["enumerate", "sensitize-for-data"])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_total_degree_of_wrong_length_exit_2(self, files, command, length):
+        lam = lambda_to_dict(golden_lambda())
+        lam["total_degree"] = [4] * length
+        path = os.path.join(files["dir"], "lambda_bad.json")
+        save_json(path, lam)
+        result = run(
+            [command, "--target", files["target"], "--lambda", path,
+             "--catalogue", files["catalogue"],
+             "--out", os.path.join(files["dir"], "out")]
+        )
+        assert result.exit_code == 2
+        assert "degree vector" in result.summary
+
 
 class TestRenderCommand:
     def test_dot_stdout(self, files, capsys):
-        assert main(["render", "--type", files["solved"], "--quiet"]) == 0
-        out = capsys.readouterr().out
+        """The document alone goes to stdout, the summary to stderr."""
+        assert main(["render", "--type", files["solved"]]) == 0
+        captured = capsys.readouterr()
+        out = captured.out
         assert out.startswith("graph")
         assert "(1, 2)" in out
+        assert out == render_dot(golden_type(with_slopes=True))
+        assert captured.err == "rendered dot\n"
 
     def test_svg_file(self, files):
         out = os.path.join(files["dir"], "t.svg")
@@ -309,6 +345,28 @@ class TestPlumbing:
         assert proc.returncode == 0
         assert "selftest passed" in proc.stdout
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("command", ["render", "validate"])
+    def test_closed_stdout_exit_1(self, files, command, unbuffered):
+        """A reader that has gone gives exit 1, not a traceback: the payload
+        write fails in render, the summary write in validate."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tropi.cli", command, "--type",
+                 files["solved"]],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
     def test_result_object(self, files):
         result = run(["validate", "--type", files["solved"]])
         assert result.exit_code == 0
@@ -328,6 +386,8 @@ def _mutated(rng, payload):
         parent = node
         key = rng.choice(sorted(node) if isinstance(node, dict) else range(len(node)))
         node = node[key]
+    if parent is None:  # an empty payload: replace it whole
+        return rng.choice(_JUNK)
     if isinstance(parent, dict) and rng.random() < 0.2:
         del parent[key]
     else:
@@ -363,3 +423,52 @@ class TestMutatedPayloads:
             assert code in {0, 1, 2, 3}, (argv[0], payload)
             codes.add(code)
         assert {1, 2} <= codes
+
+    def test_documented_exit_codes_data_commands(self, files):
+        """Mutated subdivisions, refined types, targets, slopes and
+        numerical data through pushforward, sensitize, enumerate and
+        sensitize-for-data exit 0, 1, 2 or 3; none raises.  The catalogue
+        stays at the golden atoms with at most two vertices.  This seed
+        draws a type cone outside the refined fan for pushforward and a
+        degree vector of the wrong length for enumerate."""
+        rng = random.Random(10)
+        sub, refined_type = bivalent_type()
+        pristine = {
+            "subdivision": subdivision_to_dict(sub),
+            "type": type_to_dict(refined_type),
+            "target": load_json(files["target"]),
+            "slopes": load_json(files["slopes"]),
+            "lambda": load_json(files["lambda"]),
+        }
+        paths = {k: os.path.join(files["dir"], f"{k}.json") for k in pristine}
+        for name, payload in pristine.items():
+            save_json(paths[name], payload)
+        catalogue = os.path.join(files["dir"], "cat2.json")
+        save_json(
+            catalogue,
+            catalogue_to_dict(DegreeCatalogue([(0, 0), (2, 2), (4, 4)], 2)),
+        )
+        mutated = os.path.join(files["dir"], "mutated.json")
+        # the payload at argv[2] or argv[4] is the one mutated
+        commands = [
+            ["pushforward", "--subdivision", "subdivision", "--type", "type"],
+            ["sensitize", "--target", "target", "--slopes", "slopes"],
+            ["enumerate", "--target", "target", "--lambda", "lambda",
+             "--catalogue", catalogue],
+            ["sensitize-for-data", "--target", "target", "--lambda", "lambda",
+             "--catalogue", catalogue],
+        ]
+        codes = {}
+        for i in range(400):
+            argv = commands[i % len(commands)]
+            name = argv[2 + 2 * (i // len(commands) % 2)]
+            payload = pristine[name]
+            for _ in range(1 + rng.randrange(2)):
+                payload = _mutated(rng, payload)
+            save_json(mutated, payload)
+            argv = [mutated if a == name else paths.get(a, a) for a in argv]
+            argv += ["--out", os.path.join(files["dir"], argv[0])]
+            code = run(argv).exit_code
+            assert code in {0, 1, 2, 3}, (argv[0], name, payload)
+            codes.setdefault(argv[0], set()).add(code)
+        assert all({1, 2} <= c for c in codes.values()), codes

@@ -322,6 +322,46 @@ class TestCollectSlopes:
         assert collect_sensitive_slopes([t]) == set()
 
 
+def bivalent_type():
+    """The stellar subdivision of the quadrant at (1, 1), and a type on its
+    refined fan whose middle vertex m is legless, bivalent and of degree 0."""
+    s = stellar_at_point(quadrant(), (1, 1))
+    r = s.refined
+    mid = frozenset({r.rays.index((1, 1))})
+    zero = tuple(0 for _ in r.rays)
+    t = CombinatorialType(
+        graph=DecoratedGraph(
+            ["a", "m", "b"],
+            [("a", "m"), ("m", "b")],
+            [("a", 1), ("b", 2)],
+            {"a": zero, "m": zero, "b": zero},
+        ),
+        target=r,
+        vertex_cones={"a": ORIGIN, "m": mid, "b": mid},
+        edge_cones={("a", "m"): mid, ("m", "b"): mid},
+        leg_cones={1: mid, 2: mid},
+        leg_slopes={1: (0, 0), 2: (0, 0)},
+        edge_slopes={("a", "m"): (1, 1), ("m", "b"): (1, 1)},
+    )
+    return s, t
+
+
+def off_fan_type(fan):
+    """One vertex on the cone of the rays (1, 0) and (0, 1), which is not a
+    cone of the given refinement of the quadrant."""
+    cone = frozenset({fan.rays.index((1, 0)), fan.rays.index((0, 1))})
+    assert not fan.has_cone(cone)
+    return CombinatorialType(
+        graph=DecoratedGraph(["a"], [], [], {"a": tuple(0 for _ in fan.rays)}),
+        target=fan,
+        vertex_cones={"a": cone},
+        edge_cones={},
+        leg_cones={},
+        leg_slopes={},
+        edge_slopes={},
+    )
+
+
 class TestPushforward:
     def test_identity(self):
         t = golden_type(with_slopes=True)
@@ -330,28 +370,13 @@ class TestPushforward:
         assert out.edge_slopes == t.edge_slopes
         assert out.vertex_cones == t.vertex_cones
 
+    def test_cone_not_in_refined_fan(self):
+        s = stellar(quadrant(), frozenset({0, 1}))
+        with pytest.raises(TypeProblem, match=r"\[0, 1\] is not a cone"):
+            pushforward_type(s, off_fan_type(s.refined))
+
     def test_bivalent_vertex_merged(self):
-        q = quadrant()
-        s = stellar_at_point(q, (1, 1))
-        r = s.refined
-        mid = frozenset({r.rays.index((1, 1))})
-        cone_lo = frozenset({r.rays.index((1, 0)), r.rays.index((1, 1))})
-        cone_hi = frozenset({r.rays.index((1, 1)), r.rays.index((0, 1))})
-        zero = tuple(0 for _ in r.rays)
-        t = CombinatorialType(
-            graph=DecoratedGraph(
-                ["a", "m", "b"],
-                [("a", "m"), ("m", "b")],
-                [("a", 1), ("b", 2)],
-                {"a": zero, "m": zero, "b": zero},
-            ),
-            target=r,
-            vertex_cones={"a": ORIGIN, "m": mid, "b": mid},
-            edge_cones={("a", "m"): mid, ("m", "b"): mid},
-            leg_cones={1: mid, 2: mid},
-            leg_slopes={1: (0, 0), 2: (0, 0)},
-            edge_slopes={("a", "m"): (1, 1), ("m", "b"): (1, 1)},
-        )
+        s, t = bivalent_type()
         # degree bookkeeping is all zero, m is legless and bivalent
         out = pushforward_type(s, t)
         assert set(out.graph.vertices) == {"a", "b"}

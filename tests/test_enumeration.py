@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -18,8 +19,10 @@ from tropi.enumeration import (
     enumerate_types,
     sensitize_for_data,
 )
+from tropi.serialize import type_to_dict
 from tropi.subdivide import identity_subdivision
 
+import generators
 from fixtures import deg, golden_lambda, quadrant
 
 
@@ -139,10 +142,44 @@ class TestWorkedExample:
             assert check_gathmann(t)
 
     def test_matches_brute_force_two_vertices(self):
+        """Same types, same representatives, same order: the brute force
+        tries cone assignments in lexicographic order, so it keeps the same
+        first representative of every canonical code."""
         cat = DegreeCatalogue(atoms=[(0, 0), (2, 2), (4, 4)], max_vertices=2)
         fast = enumerate_types(quadrant(), golden_lambda(), cat)
         slow = brute_force(quadrant(), golden_lambda(), cat)
-        assert {canonical_code(t) for t in fast} == set(slow)
+        assert [type_to_dict(t) for t in fast] == [
+            type_to_dict(slow[k]) for k in sorted(slow)
+        ]
+
+
+class TestRandomFansAgainstBruteForce:
+    def test_two_vertices(self):
+        """Seeded fans, data and catalogues {0, total, total//2, rest}.
+
+        Only draws with at most 8 cones and 3 markings are compared: the
+        brute force tries every cone for every vertex and edge, and bigger
+        draws take it 3 to 25 s each.  That limit is the oracle's runtime,
+        not a filter on the enumerator's output.
+        """
+        rng = random.Random(3)
+        compared = 0
+        while compared < 6:
+            fan = generators.random_complex(rng)
+            lam = generators.random_lambda(rng, fan)
+            if len(list(fan.cones())) > 8 or lam.n > 3:
+                continue
+            total = lam.total_degree
+            half = tuple(x // 2 for x in total)
+            rest = tuple(a - b for a, b in zip(total, half))
+            cat = DegreeCatalogue([(0,) * len(total), total, half, rest], 2)
+            fast = enumerate_types(fan, lam, cat)
+            slow = brute_force(fan, lam, cat)
+            assert [type_to_dict(t) for t in fast] == [
+                type_to_dict(slow[k]) for k in sorted(slow)
+            ]
+            assert fast  # every comparison has something to compare
+            compared += 1
 
 
 class TestEdgeCases:
@@ -167,6 +204,12 @@ class TestEdgeCases:
         q = quadrant()
         lam = NumericalData(1, [(-1, 0)], deg(q))
         assert enumerate_types(q, lam, CAT) == []
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_total_degree_of_wrong_length(self, length):
+        lam = NumericalData(1, [(1, 0)], (1,) * length)
+        with pytest.raises(TypeProblem, match="degree vector"):
+            enumerate_types(quadrant(), lam, CAT)
 
     def test_bad_catalogue(self):
         with pytest.raises(TypeProblem):
