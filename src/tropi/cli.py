@@ -330,16 +330,18 @@ _COMMANDS = {
 }
 
 
+_PARSER = _parser()
+
+
 def run(argv) -> CommandResult:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return CommandResult(
             0 if exc.code == 0 else 1, "usage error" if exc.code else "ok"
         )
     if args.command is None:
-        return CommandResult(1, parser.format_usage().strip())
+        return CommandResult(1, _PARSER.format_usage().strip())
     try:
         return _COMMANDS[args.command](args)
     except (SerializationError, OSError) as exc:

@@ -129,11 +129,13 @@ class ConeComplex:
         if any(i not in new_index for c in cone_list for i in c):
             raise ComplexError("cone refers to a missing ray")
         remapped = [frozenset(new_index[i] for i in c) for c in cone_list]
-        # drop cones contained in another cone; dedupe
+        # dedupe, then drop cones inside another (none of the largest size is)
+        distinct = set(remapped)
+        top = max(map(len, distinct), default=0)
         maximal = [
             c
-            for c in set(remapped)
-            if not any(c < other for other in remapped)
+            for c in distinct
+            if len(c) == top or not any(c < other for other in distinct)
         ]
         if not maximal:
             maximal = [ORIGIN]

@@ -121,6 +121,8 @@ def enumerate_types(
     positive on every direction new to one end and negative on every
     direction new to the other, so no direction is new to both.
     """
+    if len(lam.total_degree) != len(target.rays):
+        raise TypeProblem("degree vector does not match the target rays")
     leg_cones: dict[int, Cone] = {}
     for j, alpha in enumerate(lam.alphas, start=1):
         cone = minimal_containing_cone(target, alpha)

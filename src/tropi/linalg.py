@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Optional, Sequence
 
 IntVector = tuple[int, ...]
@@ -80,30 +80,37 @@ def mat_rank(rows: Sequence[Sequence]) -> int:
     return rank
 
 
-def _smith_reduce(m: list[list[int]]) -> list[int]:
-    """Elementary divisors of an integer matrix (in-place work copy)."""
+def _smith_reduce(m: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Raw Smith diagonal of an integer matrix, and the inverse column transform.
+
+    Works in place on m (g rows in Z^k).  Returns the absolute diagonal
+    entries d_1..d_r (r the rank) and a unimodular k x k matrix B with
+    m = R D B for some unimodular R: the rows d_i b_i span the row lattice,
+    and for full row rank b_1..b_g are a basis of span ∩ Z^k.
+    """
     rows, cols = len(m), len(m[0]) if m else 0
-    divisors: list[int] = []
+    basis = [[int(r == c) for c in range(cols)] for r in range(cols)]
+    diagonal: list[int] = []
     top = 0
+
+    def swap_cols(j: int) -> None:
+        for row in m:
+            row[top], row[j] = row[j], row[top]
+        basis[top], basis[j] = basis[j], basis[top]
+
     while top < rows and top < cols:
-        # find a nonzero pivot
-        pos = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if m[i][j] != 0:
-                    pos = (i, j)
-                    break
-            if pos:
-                break
+        pos = next(
+            ((i, j) for i in range(top, rows) for j in range(top, cols) if m[i][j]),
+            None,
+        )
         if pos is None:
             break
         i, j = pos
         m[top], m[i] = m[i], m[top]
-        for r in range(rows):
-            m[r][top], m[r][j] = m[r][j], m[r][top]
+        swap_cols(j)
         # clear row and column at (top, top) by euclidean steps
         while True:
-            # column
+            # column, by row operations
             for i in range(top + 1, rows):
                 if m[i][top] != 0:
                     q = m[i][top] // m[top][top]
@@ -112,20 +119,27 @@ def _smith_reduce(m: list[list[int]]) -> list[int]:
                         m[top], m[i] = m[i], m[top]
             if any(m[i][top] != 0 for i in range(top + 1, rows)):
                 continue
-            # row
+            # row, by column operations
             for j in range(top + 1, cols):
                 if m[top][j] != 0:
                     q = m[top][j] // m[top][top]
-                    for r in range(rows):
-                        m[r][j] -= q * m[r][top]
+                    for row in m:
+                        row[j] -= q * row[top]
+                    basis[top] = [a + q * b for a, b in zip(basis[top], basis[j])]
                     if m[top][j] != 0:
-                        for r in range(rows):
-                            m[r][top], m[r][j] = m[r][j], m[r][top]
+                        swap_cols(j)
             if any(m[top][j] != 0 for j in range(top + 1, cols)):
                 continue
             break
-        divisors.append(abs(m[top][top]))
+        diagonal.append(abs(m[top][top]))
         top += 1
+    return diagonal, basis
+
+
+def elementary_divisors(rows: Sequence[IntVector]) -> list[int]:
+    if not rows:
+        return []
+    divisors = _smith_reduce([list(r) for r in rows])[0]
     # enforce the divisibility chain
     for i in range(len(divisors)):
         for j in range(i + 1, len(divisors)):
@@ -135,12 +149,6 @@ def _smith_reduce(m: list[list[int]]) -> list[int]:
     return divisors
 
 
-def elementary_divisors(rows: Sequence[IntVector]) -> list[int]:
-    if not rows:
-        return []
-    return _smith_reduce([list(r) for r in rows])
-
-
 def lattice_index(rows: Sequence[IntVector]) -> int:
     """Index of the lattice spanned by the rows inside its saturation.
 
@@ -148,12 +156,9 @@ def lattice_index(rows: Sequence[IntVector]) -> int:
     generator sets.  Requires the rows to be linearly independent.
     """
     divs = elementary_divisors(rows)
-    if len(divs) != len(rows) or any(d == 0 for d in divs):
+    if len(divs) != len(rows):
         raise LinAlgError("not a simplicial generator set")
-    idx = 1
-    for d in divs:
-        idx *= d
-    return idx
+    return prod(divs)
 
 
 def is_unimodular(vs: Sequence[IntVector]) -> bool:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .cones import (
     ComplexError,
@@ -28,6 +28,7 @@ from .feasibility import LinearSystem, fm_feasible
 from .linalg import (
     IntVector,
     QVector,
+    _smith_reduce,
     is_zero,
     lattice_index,
     mat_rank,
@@ -321,74 +322,55 @@ def common_refinement(s1: ConeComplex, s2: ConeComplex) -> ConeComplex:
 # -- resolution to unimodular cones ---------------------------------------
 
 
-def _multiplicity(c: ConeComplex, cone: Cone) -> int:
-    gens = c.generators(cone)
-    if not gens:
-        return 1
-    return lattice_index(gens)
-
-
-def _parallelepiped_witness(gens: list[IntVector]) -> IntVector:
+def _parallelepiped_witness(gens: Sequence[IntVector]) -> IntVector:
     """Minimal nonzero lattice point of the fundamental parallelepiped.
 
-    Candidates have coefficients in (1/m)Z within [0,1); minimality is by
-    total coefficient sum, then lexicographic coefficient order.
+    With the Smith reduction U = R D B of the generator rows, the m lattice
+    points of the parallelepiped are Σ y_i b_i with 0 <= y_i < d_i, each
+    shifted by generators until its coefficients lie in [0,1); minimality
+    is by total coefficient sum, then lexicographic coefficient order.
     """
-    m = lattice_index(gens)
     k = len(gens[0])
-    g = len(gens)
-    best: Optional[tuple] = None
-    best_point: Optional[IntVector] = None
+    diagonal, basis = _smith_reduce([list(u) for u in gens])
+    kern = cone_kernel(tuple(gens), k)
 
-    def rec(i: int, coeffs: list[Fraction]):
-        nonlocal best, best_point
-        if i == g:
-            if all(c == 0 for c in coeffs):
-                return
-            point = tuple(
-                sum(c * gens[j][r] for j, c in enumerate(coeffs))
-                for r in range(k)
-            )
-            if any(x.denominator != 1 for x in point):
-                return
-            key = (sum(coeffs), tuple(coeffs))
-            if best is None or key < best:
-                best = key
-                best_point = tuple(int(x) for x in point)
-            return
-        for num in range(m):
-            rec(i + 1, coeffs + [Fraction(num, m)])
+    def coefficients(ys):  # numerators over kern.denom, reduced into [0, denom)
+        p = [sum(y * b[r] for y, b in zip(ys, basis)) for r in range(k)]
+        return tuple(n % kern.denom for n in kern.numerators(p))
 
-    rec(0, [])
-    if best_point is None:
+    points = filter(any, map(coefficients, product(*map(range, diagonal))))
+    nums = min(points, key=lambda n: (sum(n), n), default=None)
+    if nums is None:
         raise ComplexError(f"cone {gens} has no nonzero parallelepiped point")
-    return primitive(best_point)
+    return primitive(
+        tuple(sum(n * u[r] for n, u in zip(nums, gens)) // kern.denom for r in range(k))
+    )
 
 
 def resolve_smooth(c: ConeComplex) -> Subdivision:
     """Iterated stellar subdivision until every cone is unimodular.
 
     At each step the worst cone (highest lattice index, ties lexicographic)
-    is split at the minimal fundamental-parallelepiped lattice point; the
-    pair (max index, number of attaining cones) strictly decreases.
+    is split at the minimal fundamental-parallelepiped lattice point, read
+    off one Smith reduction of its generators in O(index) points; the pair
+    (max index, number of attaining cones) strictly decreases.
     """
     return make_subdivision(c, _resolve(c))
 
 
 def _resolve(current: ConeComplex) -> ConeComplex:
+    mults: dict[tuple[IntVector, ...], int] = {}  # by generator tuple
     while True:
-        worst: Optional[Cone] = None
-        worst_mult = 1
+        worst, worst_mult = None, 1
         for mc in current.max_cones:
-            cone = frozenset(mc)
-            mult = _multiplicity(current, cone)
-            if mult > worst_mult:
-                worst_mult = mult
-                worst = cone
+            gens = tuple(current.generators(frozenset(mc)))
+            if gens not in mults:
+                mults[gens] = lattice_index(gens) if gens else 1
+            if mults[gens] > worst_mult:
+                worst, worst_mult = gens, mults[gens]
         if worst is None:
             return current
-        witness = _parallelepiped_witness(current.generators(worst))
-        current = _star(current, witness)
+        current = _star(current, _parallelepiped_witness(worst))
 
 
 # -- slope-sensitive subdivision ------------------------------------------

@@ -300,6 +300,22 @@ class TestEnumerate:
         assert result.exit_code == 2
         assert "degree vector" in result.summary
 
+    @pytest.mark.parametrize("command", ["enumerate", "sensitize-for-data"])
+    def test_wrong_length_before_tangency_outside_support(self, files, command):
+        # a lambda with both faults is invalid (2), not an empty result (3)
+        lam = os.path.join(files["dir"], "lambda_bad.json")
+        save_json(lam, {"n": 1, "alphas": [[-1, 0]], "total_degree": [1]})
+        cat = os.path.join(files["dir"], "cat_zero.json")
+        save_json(cat, catalogue_to_dict(DegreeCatalogue([(0, 0)], 2)))
+        out = os.path.join(files["dir"], "out")
+        result = run(
+            [command, "--target", files["target"], "--lambda", lam,
+             "--catalogue", cat, "--out", out]
+        )
+        assert result.exit_code == 2
+        assert "degree vector" in result.summary
+        assert not os.path.exists(out)
+
 
 class TestRenderCommand:
     def test_dot_stdout(self, files, capsys):

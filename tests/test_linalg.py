@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tropi.linalg import (
     LinAlgError,
+    _smith_reduce,
     det,
     elementary_divisors,
     fraction_free_solve,
@@ -96,6 +97,44 @@ class TestElementaryDivisors:
 
     def test_lattice_index_matches_det(self):
         assert lattice_index([(1, 2), (2, 1)]) == 3
+
+
+def int_rows(k):
+    return st.lists(st.integers(min_value=-20, max_value=20), min_size=k, max_size=k)
+
+
+dims = st.integers(min_value=1, max_value=4)
+int_matrix = dims.flatmap(lambda k: st.lists(int_rows(k), min_size=1, max_size=4))
+square_matrix = dims.flatmap(lambda k: st.lists(int_rows(k), min_size=k, max_size=k))
+
+
+class TestSmithBasis:
+    """The rows d_i b_i of the reduction's diagonal and basis span the rows."""
+
+    @given(int_matrix)
+    def test_rows_lie_in_the_scaled_basis_lattice(self, rows):
+        k = len(rows[0])
+        diagonal, basis = _smith_reduce([list(r) for r in rows])
+        assert len(basis) == k and abs(det(basis)) == 1
+        assert all(d > 0 for d in diagonal)
+        transpose = [[b[r] for b in basis] for r in range(k)]
+        for row in rows:
+            # row = Σ x_i b_i with x_i a multiple of d_i, and 0 beyond the rank
+            x = solve_rational_system(transpose, row).vector
+            assert all(c.denominator == 1 for c in x)
+            assert all(c % d == 0 for c, d in zip(x, diagonal))
+            assert all(c == 0 for c in x[len(diagonal):])
+
+    @given(square_matrix)
+    def test_square_diagonal_product_is_the_determinant(self, rows):
+        # with the test above, the scaled basis rows span exactly the row lattice
+        diagonal, _ = _smith_reduce([list(r) for r in rows])
+        product = 1
+        for d in diagonal:
+            product *= d
+        assert (len(diagonal) == len(rows)) == (det(rows) != 0)
+        if det(rows):
+            assert product == abs(det(rows))
 
 
 class TestSolve:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,9 +11,10 @@ from tropi.cones import (
     build_snc_tropicalization,
     minimal_containing_cone,
 )
-from tropi.linalg import det, is_unimodular
+from tropi.linalg import LinAlgError, det, is_unimodular, lattice_index, primitive
 from generators import random_complex
 from tropi.subdivide import (
+    _parallelepiped_witness,
     common_refinement,
     compose,
     identity_subdivision,
@@ -236,6 +238,51 @@ class TestResolveSmooth:
         for mc in s.refined.max_cones:
             assert is_unimodular(s.refined.generators(frozenset(mc)))
 
+    def test_index_two_hundred(self):
+        base = ConeComplex(2, [(1, 0), (1, 200)], [{0, 1}])
+        s = resolve_smooth(base)
+        assert len(s.refined.rays) == 201
+        for mc in s.refined.max_cones:
+            assert is_unimodular(s.refined.generators(frozenset(mc)))
+
+
+def _searched_witness(gens):
+    """The parallelepiped witness by search over all m^g coefficient tuples."""
+    m = lattice_index(gens)
+    k = len(gens[0])
+    best = None
+    for coeffs in product([Fraction(n, m) for n in range(m)], repeat=len(gens)):
+        point = tuple(sum(c * u[r] for c, u in zip(coeffs, gens)) for r in range(k))
+        if any(coeffs) and all(x.denominator == 1 for x in point):
+            key = (sum(coeffs), coeffs)
+            if best is None or key < best[0]:
+                best = key, tuple(int(x) for x in point)
+    return primitive(best[1])
+
+
+class TestParallelepipedWitness:
+    @pytest.mark.parametrize("k, g", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
+    def test_matches_search(self, k, g):
+        rng = random.Random(100 * k + g)
+        drawn = 0
+        while drawn < 25:
+            gens = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(g)]
+            if not all(map(any, gens)):
+                continue
+            gens = [primitive(u) for u in gens]
+            try:
+                m = lattice_index(gens)
+            except LinAlgError:
+                continue
+            # m^g bounds the search
+            if 1 < m and m**g <= 2000:
+                assert _parallelepiped_witness(gens) == _searched_witness(gens)
+                drawn += 1
+
+    def test_unimodular_cone_rejected(self):
+        with pytest.raises(ComplexError):
+            _parallelepiped_witness([(1, 0), (1, 1)])
+
 
 class TestSensitize:
     def test_golden_quadrant(self):
@@ -297,34 +344,59 @@ def _in_support_point(rng, fan):
     )
 
 
+def _seeded_draws():
+    """24 seeded 2D/3D fans, each with two points of its support, a cone of
+    dimension >= 2 to star (None if there is none) and a hyperplane."""
+    rng = random.Random(2024)
+    for i in range(24):
+        fan = random_complex(rng, 2 + i % 2)
+        p, q = _in_support_point(rng, fan), _in_support_point(rng, fan)
+        big = [frozenset(c) for c in fan.max_cones if len(c) >= 2]
+        sigma = rng.choice(big) if big else None
+        h = [rng.randint(-2, 2) for _ in range(fan.ambient_dim)]
+        yield fan, p, q, sigma, h
+
+
+def _refined_3d(fan) -> bool:
+    return fan.ambient_dim == 3 and len(fan.rays) > 3
+
+
 class TestRefinementsAreValidComplexes:
     """Subdivisions skip the pairwise common-face check of ConeComplex; the
     public constructor is the oracle that their outputs would pass it."""
 
     def test_rebuild_through_public_constructor(self):
-        rng = random.Random(2024)
         checked = 0
-        for i in range(24):
-            fan = random_complex(rng, 2 + i % 2)
-            p, q = _in_support_point(rng, fan), _in_support_point(rng, fan)
+        for fan, p, q, sigma, h in _seeded_draws():
             a = stellar_at_point(fan, p).refined
             b = stellar_at_point(fan, q).refined
             outs = [fan, a, b, common_refinement(a, b), resolve_smooth(a).refined]
-            big = [frozenset(c) for c in fan.max_cones if len(c) >= 2]
-            if big:
-                outs.append(stellar(fan, rng.choice(big)).refined)
-            h = [rng.randint(-2, 2) for _ in range(fan.ambient_dim)]
+            if sigma is not None:
+                outs.append(stellar(fan, sigma).refined)
             if any(h):
                 outs.append(slice_by_hyperplane(fan, h))
             outs.append(sensitize(fan, []).refined)
-            # slopes on a refined 3D fan reach the slow witness search of
-            # resolve_smooth; draw them on 2D and unrefined SNC fans only
-            if fan.ambient_dim == 2 or len(fan.rays) == 3:
+            # slopes on a refined 3D fan give refinements of up to ~250 rays,
+            # whose pairwise FM rebuild takes minutes in all;
+            # test_slopes_on_refined_3d_fans sensitizes those draws without it
+            if not _refined_3d(fan):
                 outs.append(sensitize(fan, [p, q]).refined)
             for out in outs:
                 assert ConeComplex(out.ambient_dim, out.rays, out.max_cones) == out
                 checked += 1
         assert checked > 150
+
+    def test_slopes_on_refined_3d_fans(self):
+        drawn = 0
+        for fan, p, q, _, _ in _seeded_draws():
+            if not _refined_3d(fan):
+                continue
+            refined = sensitize(fan, [p, q]).refined
+            assert primitive(p) in refined.rays and primitive(q) in refined.rays
+            for mc in refined.max_cones:
+                assert is_unimodular(refined.generators(frozenset(mc)))
+            drawn += 1
+        assert drawn == 9
 
     def test_pairwise_check_not_reached(self, monkeypatch):
         base = ConeComplex(2, [(1, 0), (1, 7)], [{0, 1}])
