@@ -177,9 +177,10 @@ class CombinatorialType:
         for j, s in self.leg_slopes.items():
             if len(s) != k:
                 raise TypeProblem(f"leg slope {j} has wrong dimension")
+        both_ways = set(g.edges) | {(b, a) for a, b in g.edges}
         for e, s in (self.edge_slopes or {}).items():
-            if len(s) != k:
-                raise TypeProblem(f"edge slope {e} has wrong dimension")
+            if e not in both_ways or len(s) != k:
+                raise TypeProblem(f"edge slope {e} is off the tree or of wrong size")
 
     def slope_from(self, v: str, edge: Edge) -> IntVector:
         """Solved slope of the edge, oriented away from v."""

@@ -1,9 +1,9 @@
 """Exact rational linear feasibility.
 
-Two independent decision procedures over `fractions.Fraction`:
+Two independent decision procedures, on rows stored as coprime integers:
 
 * Fourier-Motzkin elimination, which also back-substitutes a witness point;
-* a phase-one simplex with Bland's rule, used as a cross-checking oracle.
+* a phase-one simplex with Bland's rule over Fractions, an oracle for it.
 
 Systems mix equalities and non-strict inequalities over free variables.
 Callers encode strict inequalities themselves (homogeneous systems replace
@@ -19,71 +19,72 @@ from typing import Optional, Sequence
 
 from .linalg import LinAlgError, QVector, vec_dot
 
-Row = tuple[tuple[Fraction, ...], Fraction]
 IntRow = tuple[tuple[int, ...], int]
 
 
-def _row(coeffs: Sequence, rhs) -> Row:
-    return tuple(Fraction(c) for c in coeffs), Fraction(rhs)
+def _coprime(coeffs: list[int], rhs: int) -> tuple[list[int], int]:
+    """Divide an integer row by the gcd of its entries."""
+    g = gcd(*coeffs, rhs)
+    if g > 1:
+        return [c // g for c in coeffs], rhs // g
+    return coeffs, rhs
+
+
+def _normalize(coeffs: Sequence, rhs) -> IntRow:
+    """Scale a row of ints and Fractions by a positive factor to coprime
+    integers, so an inequality keeps its direction."""
+    entries = (*coeffs, rhs)
+    if not all(isinstance(x, (int, Fraction)) for x in entries):
+        raise TypeError("constraint entries must be ints or Fractions")
+    d = lcm(*(x.denominator for x in entries))
+    ints = [x.numerator * (d // x.denominator) for x in entries]
+    c, r = _coprime(ints[:-1], ints[-1])
+    return tuple(c), r
 
 
 @dataclass
 class LinearSystem:
-    """Constraints coeffs . x = rhs (eqs) and coeffs . x >= rhs (ineqs)."""
+    """Constraints coeffs . x = rhs (eqs) and coeffs . x >= rhs (ineqs), each
+    stored as its least positive multiple with coprime integer entries."""
 
     n_vars: int
-    eqs: list[Row] = field(default_factory=list)
-    ineqs: list[Row] = field(default_factory=list)
+    eqs: list[IntRow] = field(default_factory=list)
+    ineqs: list[IntRow] = field(default_factory=list)
 
     def add_eq(self, coeffs: Sequence, rhs=0) -> None:
-        c, r = _row(coeffs, rhs)
-        if len(c) != self.n_vars:
-            raise ValueError("constraint length does not match variable count")
-        self.eqs.append((c, r))
+        self.eqs.append(self._checked(coeffs, rhs))
 
     def add_ge(self, coeffs: Sequence, rhs=0) -> None:
-        c, r = _row(coeffs, rhs)
-        if len(c) != self.n_vars:
+        self.ineqs.append(self._checked(coeffs, rhs))
+
+    def _checked(self, coeffs: Sequence, rhs) -> IntRow:
+        row = _normalize(coeffs, rhs)
+        if len(row[0]) != self.n_vars:
             raise ValueError("constraint length does not match variable count")
-        self.ineqs.append((c, r))
+        return row
 
     def satisfied_by(self, x: Sequence) -> bool:
-        return all(vec_dot(c, x) == r for c, r in self.eqs) and all(
-            vec_dot(c, x) >= r for c, r in self.ineqs
+        d = lcm(*(v.denominator for v in x))
+        xd = [v.numerator * (d // v.denominator) for v in x]
+        return all(vec_dot(c, xd) == r * d for c, r in self.eqs) and all(
+            vec_dot(c, xd) >= r * d for c, r in self.ineqs
         )
-
-
-def _normalize(row: Row | IntRow) -> IntRow:
-    """Scale to integer entries with gcd 1, keeping inequality direction."""
-    coeffs, rhs = row
-    denom = 1
-    for x in (*coeffs, rhs):
-        denom = lcm(denom, x.denominator)
-    ints = [int(x * denom) for x in coeffs] + [int(rhs * denom)]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints[:-1]), ints[-1]
 
 
 def fm_feasible(system: LinearSystem) -> Optional[QVector]:
     """Decide feasibility by Fourier-Motzkin; return a witness or None.
 
-    Equalities are eliminated first by substitution, then the remaining
-    inequalities are projected one variable at a time.  The witness is
-    recovered by walking the elimination stack backwards.
+    Equalities are eliminated first by integer cross-multiplication, then
+    the remaining inequalities are projected one variable at a time.  The
+    witness is recovered by walking the elimination stack backwards.
     """
     n = system.n_vars
     ineqs = [(list(c), r) for c, r in system.ineqs]
     eqs = [(list(c), r) for c, r in system.eqs]
 
-    # use each equality to solve for one variable and substitute everywhere
-    subs: list[tuple[int, list[Fraction], Fraction]] = []
-    for _ in range(len(eqs)):
-        if not eqs:
-            break
+    # solve each equality for one variable and cancel it everywhere
+    subs: list[tuple[int, list[int], int]] = []
+    while eqs:
         coeffs, rhs = eqs.pop()
         piv = next((j for j in range(n) if coeffs[j] != 0), None)
         if piv is None:
@@ -91,26 +92,26 @@ def fm_feasible(system: LinearSystem) -> Optional[QVector]:
                 return None
             continue
         pv = coeffs[piv]
-        expr = [-c / pv for c in coeffs]
-        expr[piv] = Fraction(0)
-        const = rhs / pv
-        # x[piv] = expr . x + const
+        s = 1 if pv > 0 else -1
+
         def apply(row):
+            # a positive multiple of row - (f / pv) eq, so >= survives
             c, r = row
             f = c[piv]
             if f == 0:
                 return row
-            nc = [a + f * e for a, e in zip(c, expr)]
-            nc[piv] = Fraction(0)
-            return nc, r - f * const
+            return _coprime(
+                [s * (pv * a - f * e) for a, e in zip(c, coeffs)],
+                s * (pv * r - f * rhs),
+            )
 
         eqs = [apply(row) for row in eqs]
         ineqs = [apply(row) for row in ineqs]
-        subs.append((piv, expr, const))
+        subs.append((piv, coeffs, rhs))
 
     # eliminate remaining variables from the inequalities
     live = [j for j in range(n) if any(c[j] != 0 for c, _ in ineqs)]
-    cons = {_normalize((tuple(c), r)) for c, r in ineqs}
+    cons = {(tuple(c), r) for c, r in ineqs}
     stack: list[tuple[int, list[IntRow], list[IntRow]]] = []
     while live:
         # cheapest variable first keeps the blowup down
@@ -127,8 +128,10 @@ def fm_feasible(system: LinearSystem) -> Optional[QVector]:
             for uc, ur in uppers:
                 # combine so the var cancels; direction stays >=
                 a, b = lc[var], -uc[var]
-                nc = tuple(b * x + a * y for x, y in zip(lc, uc))
-                keeps.add(_normalize((nc, b * lr + a * ur)))
+                nc, nr = _coprime(
+                    [b * x + a * y for x, y in zip(lc, uc)], b * lr + a * ur
+                )
+                keeps.add((tuple(nc), nr))
         cons = keeps
         live = [j for j in live if j != var and any(c[j] != 0 for c, _ in cons)]
 
@@ -138,23 +141,17 @@ def fm_feasible(system: LinearSystem) -> Optional[QVector]:
 
     # back-substitute a witness
     x: list[Fraction] = [Fraction(0)] * n
+
+    def solve_for(var: int, c: Sequence[int], r: int) -> Fraction:
+        return Fraction(r - sum(c[j] * x[j] for j in range(n) if j != var), c[var])
+
     for var, lowers, uppers in reversed(stack):
-        lo = None
-        for c, r in lowers:
-            bound = Fraction(r - sum(c[j] * x[j] for j in range(n) if j != var), c[var])
-            lo = bound if lo is None else max(lo, bound)
-        hi = None
-        for c, r in uppers:
-            bound = Fraction(r - sum(c[j] * x[j] for j in range(n) if j != var), c[var])
-            hi = bound if hi is None else min(hi, bound)
-        if lo is not None and hi is not None:
-            x[var] = (lo + hi) / 2
-        elif lo is not None:
-            x[var] = lo
-        elif hi is not None:
-            x[var] = hi
-    for piv, expr, const in reversed(subs):
-        x[piv] = sum(e * v for e, v in zip(expr, x)) + const
+        lo = max((solve_for(var, c, r) for c, r in lowers), default=None)
+        hi = min((solve_for(var, c, r) for c, r in uppers), default=None)
+        # var is live, so it has a lower or an upper bound
+        x[var] = lo if hi is None else hi if lo is None else (lo + hi) / 2
+    for piv, c, r in reversed(subs):
+        x[piv] = solve_for(piv, c, r)
 
     witness = tuple(x)
     if not system.satisfied_by(witness):

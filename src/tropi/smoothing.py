@@ -28,7 +28,7 @@ from .combtypes import (
     ValidationReport,
 )
 from .feasibility import LinearSystem, fm_feasible, simplex_feasible
-from .linalg import QVector, vec_add, vec_scale
+from .linalg import IntVector, QVector, vec_add, vec_dot, vec_scale
 
 
 @dataclass(frozen=True)
@@ -133,20 +133,18 @@ def _path_slopes(t: CombinatorialType, root: str) -> dict[str, dict[Edge, int]]:
 
 def _position_row(
     t: CombinatorialType,
-    functional: QVector,
+    functional: IntVector,
     path: dict[Edge, int],
     edge_index: dict[Edge, int],
     n_vars: int,
-) -> list[Fraction]:
+) -> list[int]:
     """Row of <functional, position(v)> in the variables (x, lengths)."""
     k = t.target.ambient_dim
-    row = [Fraction(0)] * n_vars
-    for r in range(k):
-        row[r] = Fraction(functional[r])
+    row = [0] * n_vars
+    row[:k] = functional
     for e, sign in path.items():
         m = t.slope_from(e[0], e) if sign == 1 else t.slope_from(e[1], e)
-        val = sum(Fraction(functional[r]) * m[r] for r in range(k))
-        row[k + edge_index[e]] += val
+        row[k + edge_index[e]] += vec_dot(functional, m)
     return row
 
 
@@ -193,24 +191,26 @@ def build_smoothing_system(
     paths = _path_slopes(t, root)
 
     for e in g.edges:
-        row = [Fraction(0)] * n
-        row[k + edge_index[e]] = Fraction(1)
+        row = [0] * n
+        row[k + edge_index[e]] = 1
         sys.add_ge(row, 1)
 
+    # a barycentric functional is dual / denom: f . p >= 1 iff dual . p >= denom
     for v in g.vertices:
         kern = t.target.kernel(t.vertex_cones[v])
         for f in kern.eqs:
             sys.add_eq(_position_row(t, f, paths[v], edge_index, n), 0)
-        for f in kern.functionals():
-            sys.add_ge(_position_row(t, f, paths[v], edge_index, n), 1)
+        for f in kern.dual:
+            sys.add_ge(_position_row(t, f, paths[v], edge_index, n), kern.denom)
 
     for e in g.edges:
         a, b = e
-        for f in t.target.kernel(t.edge_cones[e]).functionals():
+        kern = t.target.kernel(t.edge_cones[e])
+        for f in kern.dual:
             # midpoint interiority, doubled to stay integral
             row_a = _position_row(t, f, paths[a], edge_index, n)
             row_b = _position_row(t, f, paths[b], edge_index, n)
-            sys.add_ge([x + y for x, y in zip(row_a, row_b)], 1)
+            sys.add_ge([x + y for x, y in zip(row_a, row_b)], kern.denom)
     return sys, edge_index, root
 
 

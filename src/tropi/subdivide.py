@@ -285,8 +285,9 @@ def slice_by_hyperplane(c: ConeComplex, h: Sequence) -> ConeComplex:
         if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
             pieces.append(tuple(gens))
             continue
+        # already extreme: kept generators and cuts inside 2-faces of gens
         for side in (1, -1):
-            part = extreme_filter(_slice_rays(list(gens), h, side))
+            part = _slice_rays(list(gens), h, side)
             if part and mat_rank(part) == mat_rank(gens):
                 pieces.extend(triangulate_cone(part))
     return _assemble(c.ambient_dim, pieces)

@@ -14,6 +14,7 @@ from tropi.serialize import (
     lambda_to_dict,
     load_json,
     realization_from_dict,
+    realization_to_dict,
     save_json,
     slopes_to_dict,
     subdivision_from_dict,
@@ -29,6 +30,13 @@ from tropi.smoothing import verify_realization
 from tropi.subdivide import stellar
 
 from fixtures import E1, E2, golden_lambda, golden_type, quadrant
+from generators import (
+    random_catalogue,
+    random_complex,
+    random_lambda,
+    random_raw_type,
+    random_realization,
+)
 from test_combtypes import bivalent_type, off_fan_type
 from test_smoothing import broken_face_type, ray_type
 
@@ -78,6 +86,14 @@ class TestValidateGathmann:
         t.edge_slopes[E1] = (-1, 2)
         bad = os.path.join(files["dir"], "bad.json")
         save_json(bad, type_to_dict(t))
+        assert main(["validate", "--type", bad, "--quiet"]) == 2
+
+    @pytest.mark.parametrize("edge", ["1/2", ["v1", "v1"], ["v1", "nowhere"]])
+    def test_slope_off_the_tree_exit_2(self, files, edge):
+        payload = load_json(files["solved"])
+        payload["edge_slopes"][0][0] = edge
+        bad = os.path.join(files["dir"], "bad.json")
+        save_json(bad, payload)
         assert main(["validate", "--type", bad, "--quiet"]) == 2
 
     def test_gathmann_pass(self, files):
@@ -488,3 +504,63 @@ class TestMutatedPayloads:
             assert code in {0, 1, 2, 3}, (argv[0], name, payload)
             codes.setdefault(argv[0], set()).add(code)
         assert all({1, 2} <= c for c in codes.values()), codes
+
+    def test_documented_exit_codes_generated_payloads(self, files):
+        """Seeded random payloads from the test generators, one of them
+        mutated, through all ten payload commands exit 0, 1, 2 or 3; none
+        raises.  Catalogues allow at most two vertices."""
+        rng = random.Random(23)
+        names = ["target", "type", "lambda", "realization", "subdivision",
+                 "slopes", "catalogue"]
+        paths = {k: os.path.join(files["dir"], f"{k}.json") for k in names}
+        out = os.path.join(files["dir"], "out.json")
+        commands = [
+            ["validate", "--type", "type"],
+            ["balance", "--type", "type", "--out", out],
+            ["gathmann", "--type", "type"],
+            ["smoothable", "--type", "type", "--method", "both", "--out", out],
+            ["render", "--type", "type", "--realization", "realization",
+             "--out", out],
+            ["lift-lambda", "--subdivision", "subdivision", "--lambda", "lambda",
+             "--out", out],
+            ["pushforward", "--subdivision", "subdivision", "--type", "type",
+             "--out", out],
+            ["sensitize", "--target", "target", "--slopes", "slopes", "--out", out],
+            ["enumerate", "--target", "target", "--lambda", "lambda",
+             "--catalogue", "catalogue", "--out", os.path.join(files["dir"], "types")],
+            ["sensitize-for-data", "--target", "target", "--lambda", "lambda",
+             "--catalogue", "catalogue", "--out", out],
+        ]
+        codes = {}
+        for _ in range(150):
+            fan = random_complex(rng)
+            t = random_raw_type(rng, fan)
+            k = fan.ambient_dim
+            cat = random_catalogue(rng, len(fan.rays))
+            sigma = rng.choice(sorted((c for c in fan.cones() if c), key=sorted))
+            payloads = {
+                "target": complex_to_dict(fan),
+                "type": type_to_dict(t),
+                "lambda": lambda_to_dict(random_lambda(rng, fan)),
+                "realization": realization_to_dict(random_realization(rng, t)),
+                "subdivision": subdivision_to_dict(stellar(fan, sigma)),
+                "slopes": slopes_to_dict(
+                    [tuple(rng.randint(-2, 3) for _ in range(k))
+                     for _ in range(rng.randint(1, 2))]
+                ),
+                "catalogue": catalogue_to_dict(DegreeCatalogue(cat.atoms, 2)),
+            }
+            name = rng.choice(names)
+            payloads[name] = _mutated(rng, payloads[name])
+            cat_dict = payloads["catalogue"]
+            if isinstance(cat_dict, dict) and cat_dict.get("max_vertices") == 7:
+                # a junk 7 would start an unbounded enumeration (ROADMAP item 1)
+                cat_dict["max_vertices"] = 2
+            for key, payload in payloads.items():
+                save_json(paths[key], payload)
+            for argv in commands:
+                code = run([paths.get(a, a) for a in argv]).exit_code
+                assert code in {0, 1, 2, 3}, (argv[0], name, payloads)
+                codes.setdefault(argv[0], set()).add(code)
+        assert all({1, 2} <= c for c in codes.values()), codes
+        assert sum(0 in c for c in codes.values()) >= 9, codes

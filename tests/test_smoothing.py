@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from tropi.cones import ORIGIN
 from tropi.combtypes import CombinatorialType, DecoratedGraph, TypeProblem, solve_balancing
+from tropi.feasibility import LinearSystem
 from tropi.smoothing import (
     Realization,
+    _path_slopes,
+    _realization_from_witness,
+    build_smoothing_system,
     check_sensitivity_consequences,
     smooth_construct,
     smoothable_lp,
@@ -15,6 +20,13 @@ from tropi.smoothing import (
 from tropi.subdivide import sensitize
 
 from fixtures import E1, E2, golden_type, octant, quadrant
+from generators import (
+    random_complex,
+    random_raw_type,
+    random_smooth_fan,
+    random_staircase_type,
+)
+from test_feasibility import reference_fm
 
 
 def sensitized():
@@ -163,6 +175,85 @@ class TestSmoothableLP:
             descending_type(),
         ]:
             assert (smoothable_lp(t) is not None) == smoothable_simplex(t)
+
+
+def _fraction_system(t):
+    """(n, eqs, ineqs) of the smoothing system as it was built over
+    Fractions: barycentric functionals, each strict inequality as >= 1."""
+    g = t.graph
+    k = t.target.ambient_dim
+    edge_index = {e: i for i, e in enumerate(g.edges)}
+    n = k + len(g.edges)
+    paths = _path_slopes(t, g.vertices[0])
+
+    def position_row(functional, path):
+        row = [Fraction(0)] * n
+        for r in range(k):
+            row[r] = Fraction(functional[r])
+        for e, sign in path.items():
+            m = t.slope_from(e[0], e) if sign == 1 else t.slope_from(e[1], e)
+            val = sum(Fraction(functional[r]) * m[r] for r in range(k))
+            row[k + edge_index[e]] += val
+        return row
+
+    eqs, ineqs = [], []
+    for e in g.edges:
+        row = [Fraction(0)] * n
+        row[k + edge_index[e]] = Fraction(1)
+        ineqs.append((row, 1))
+    for v in g.vertices:
+        kern = t.target.kernel(t.vertex_cones[v])
+        eqs += [(position_row(f, paths[v]), 0) for f in kern.eqs]
+        ineqs += [(position_row(f, paths[v]), 1) for f in kern.functionals()]
+    for a, b in g.edges:
+        for f in t.target.kernel(t.edge_cones[(a, b)]).functionals():
+            row_a, row_b = position_row(f, paths[a]), position_row(f, paths[b])
+            ineqs.append(([x + y for x, y in zip(row_a, row_b)], 1))
+    return n, eqs, ineqs
+
+
+class TestIntegerSystem:
+    def _types(self):
+        yield golden_type(with_slopes=True)
+        yield ray_type().with_slopes(solve_balancing(ray_type()))
+        yield descending_type()
+        rng = random.Random(31)
+        for _ in range(60):
+            yield random_staircase_type(rng, random_smooth_fan(rng, rng.choice([2, 3])))
+        # arbitrary decorations: mostly infeasible, some with a leg failing
+        for _ in range(300):
+            t = random_raw_type(rng, random_complex(rng))
+            if t.edge_slopes is not None:
+                yield t
+
+    def test_matches_fraction_reference(self):
+        """smoothable_lp gives the realization of the Fraction solver run
+        on the Fraction rows, or None with it."""
+        fractional = infeasible = 0
+        for t in self._types():
+            built = build_smoothing_system(t)
+            if built is None:
+                assert smoothable_lp(t) is None
+                continue
+            sys, edge_index, root = built
+            assert all(type(v) is int for c, r in sys.eqs + sys.ineqs for v in (*c, r))
+            n, eqs, ineqs = _fraction_system(t)
+            fractional += any(v.denominator > 1 for c, _ in ineqs for v in c)
+            # the same rows, each scaled to coprime integers
+            scaled = LinearSystem(n)
+            for c, r in eqs:
+                scaled.add_eq(c, r)
+            for c, r in ineqs:
+                scaled.add_ge(c, r)
+            assert (sys.eqs, sys.ineqs) == (scaled.eqs, scaled.ineqs)
+            witness = reference_fm(n, eqs, ineqs)
+            infeasible += witness is None
+            expected = (
+                None if witness is None
+                else _realization_from_witness(t, witness, edge_index, root)
+            )
+            assert smoothable_lp(t) == expected
+        assert fractional >= 20 and infeasible >= 20
 
 
 class TestSmoothConstruct:

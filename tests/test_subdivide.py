@@ -11,12 +11,21 @@ from tropi.cones import (
     build_snc_tropicalization,
     minimal_containing_cone,
 )
-from tropi.linalg import LinAlgError, det, is_unimodular, lattice_index, primitive
+from tropi.linalg import (
+    LinAlgError,
+    det,
+    is_unimodular,
+    lattice_index,
+    mat_rank,
+    primitive,
+)
 from generators import random_complex
 from tropi.subdivide import (
     _parallelepiped_witness,
+    _slice_rays,
     common_refinement,
     compose,
+    extreme_filter,
     identity_subdivision,
     intersect_simplicial,
     make_subdivision,
@@ -209,6 +218,26 @@ class TestSliceByHyperplane:
     def test_no_op_when_one_sided(self):
         c = slice_by_hyperplane(quadrant(), (1, 1))
         assert c == quadrant()
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_slice_rays_of_simplicial_cone_are_extreme(self, k):
+        """Kept generators and 2-face cuts of a simplicial cone are already
+        the extreme rays of each slice, so no extreme filter is needed."""
+        rng = random.Random(40 + k)
+        drawn = 0
+        while drawn < 300:
+            g = rng.randint(1, k)
+            gens = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(g)]
+            if not all(map(any, gens)) or mat_rank(gens) < g:
+                continue
+            gens = sorted({primitive(u) for u in gens})
+            if len(gens) < g:
+                continue
+            h = tuple(rng.randint(-3, 3) for _ in range(k))
+            for side in (1, 0, -1):
+                rays = _slice_rays(gens, h, side)
+                assert sorted(rays) == extreme_filter(rays)
+            drawn += 1
 
 
 class TestResolveSmooth:
