@@ -23,7 +23,12 @@ from .combtypes import (
     validate_type,
 )
 from .cones import ComplexError
-from .enumeration import canonical_code, enumerate_types, sensitize_for_data
+from .enumeration import (
+    MAX_VERTICES,
+    canonical_code,
+    enumerate_types,
+    sensitize_for_data,
+)
 from .linalg import LinAlgError, is_unimodular
 from .render import RenderError, render
 from .serialize import (
@@ -71,6 +76,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true", help="suppress summaries")
     sub = p.add_subparsers(dest="command")
 
+    catalogue_help = (
+        f"degree catalogue; max_vertices is at most {MAX_VERTICES}, "
+        "a larger value exits 2"
+    )
+
     def add(name, help_text):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--quiet", action="store_true")
@@ -99,13 +109,13 @@ def _parser() -> argparse.ArgumentParser:
     sp = add("sensitize-for-data", "enumerate slopes for data, then sensitize")
     sp.add_argument("--target", required=True)
     sp.add_argument("--lambda", dest="lam_path", required=True)
-    sp.add_argument("--catalogue", required=True)
+    sp.add_argument("--catalogue", required=True, help=catalogue_help)
     sp.add_argument("--out", required=True)
 
     sp = add("enumerate", "enumerate all valid types for the given data")
     sp.add_argument("--target", required=True)
     sp.add_argument("--lambda", dest="lam_path", required=True)
-    sp.add_argument("--catalogue", required=True)
+    sp.add_argument("--catalogue", required=True, help=catalogue_help)
     sp.add_argument("--out", required=True, help="output directory")
 
     sp = add("pushforward", "push a type forward along a subdivision")

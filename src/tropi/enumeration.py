@@ -1,18 +1,33 @@
 """Enumeration of valid combinatorial types, up to decorated-tree isomorphism.
 
 The search space is made finite and explicit by a user-supplied degree
-catalogue: every vertex draws its degree vector from a fixed list of atoms.
-Tree shapes come from Prufer sequences; decorations are filtered through
-the validity and per-divisor bookkeeping checks; duplicates are removed by
-a canonical rooted-tree code (computed at the tree's center), which also
-fixes the output order.  Marking labels are distinguishable: only the
-unlabeled tree symmetry is quotiented.
+catalogue: every vertex draws its degree vector from a fixed list of atoms,
+on at most ``MAX_VERTICES`` vertices.  Marking labels are distinguishable:
+only the unlabeled tree symmetry is quotiented.  Duplicates are removed by a
+canonical rooted-tree code (computed at the tree's center), which also fixes
+the output order; each code keeps the first candidate found with it.
+
+The search is an orbit search in three steps, each of which keeps that first
+candidate, so the output does not depend on them:
+
+- One labeled tree per unlabeled shape: the first Prufer tree of each shape.
+  Every decorated type of a shape is isomorphic to one on that tree, and
+  that tree comes before every other tree of its shape.
+- Per degree tuple and leg map, the vertex cones are fixed in name order and
+  each edge is checked as soon as its later endpoint is fixed: its cone is
+  the join of its endpoint cones, and its slope must be positive on every
+  direction new to one end and negative on every direction new to the other.
+  The survivors come in the order of the full product of vertex cones.
+- A decoration (degree tuple, leg map) is skipped when an automorphism of
+  the tree maps it to a lexicographically smaller one.  That image is visited
+  earlier, and its candidates are the isomorphic images of this decoration's
+  candidates, with the same codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 from typing import Iterable, Optional
 
 from .cones import ORIGIN, ComplexError, Cone, ConeComplex, minimal_containing_cone
@@ -29,6 +44,12 @@ from .combtypes import (
 )
 from .subdivide import Subdivision, sensitize
 
+MAX_VERTICES = 6
+"""Largest catalogue ``max_vertices``.  The golden quadrant example (atoms
+(0,0), (2,2), (4,4)) takes about 7 s at 6 vertices (3327 types) and about
+23 s at 7 on a 2-vCPU Linux VM, and each further vertex multiplies the
+search by the number of atoms and of trees."""
+
 
 @dataclass(frozen=True)
 class DegreeCatalogue:
@@ -38,8 +59,8 @@ class DegreeCatalogue:
     def __init__(self, atoms: Iterable, max_vertices: int):
         object.__setattr__(self, "atoms", tuple(tuple(map(int, a)) for a in atoms))
         object.__setattr__(self, "max_vertices", int(max_vertices))
-        if self.max_vertices < 1:
-            raise TypeProblem("max_vertices must be positive")
+        if not 1 <= self.max_vertices <= MAX_VERTICES:
+            raise TypeProblem(f"max_vertices must be between 1 and {MAX_VERTICES}")
         if not self.atoms:
             raise TypeProblem("catalogue needs at least one degree atom")
 
@@ -65,16 +86,48 @@ def _prufer_trees(n: int) -> list[tuple[tuple[int, int], ...]]:
     return trees
 
 
-# -- canonical codes --------------------------------------------------------
-
-
-def _tree_centers(g: DecoratedGraph) -> list[str]:
-    remaining = set(g.vertices)
+def _centers(vertices: Iterable, neighbors) -> list:
+    """The one or two centers of a tree, by stripping leaves."""
+    remaining = set(vertices)
     while len(remaining) > 2:
         remaining -= {
-            v for v in remaining if sum(w in remaining for w in g.neighbors(v)) <= 1
+            v for v in remaining if sum(w in remaining for w in neighbors(v)) <= 1
         }
     return sorted(remaining)
+
+
+def _shape_code(n: int, edges: tuple[tuple[int, int], ...]):
+    """AHU code of the bare tree on 0..n-1, rooted at a center."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+
+    def code(v: int, parent: Optional[int]):
+        return tuple(sorted(code(w, v) for w in adj[v] if w != parent))
+
+    return min(code(c, None) for c in _centers(range(n), adj.__getitem__))
+
+
+def _tree_shapes(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """The first Prufer tree of each unlabeled tree shape on n vertices."""
+    first: dict[object, tuple[tuple[int, int], ...]] = {}
+    for tree in _prufer_trees(n):
+        first.setdefault(_shape_code(n, tree), tree)
+    return list(first.values())
+
+
+def _automorphisms(n: int, edges: tuple[tuple[int, int], ...]) -> list[tuple[int, ...]]:
+    """Vertex permutations of the tree that map its edge set onto itself."""
+    edge_set = {frozenset(e) for e in edges}
+    return [
+        p
+        for p in permutations(range(n))
+        if all(frozenset((p[a], p[b])) in edge_set for a, b in edges)
+    ]
+
+
+# -- canonical codes --------------------------------------------------------
 
 
 def canonical_code(t: CombinatorialType):
@@ -106,10 +159,29 @@ def canonical_code(t: CombinatorialType):
             children.append((ekey, code(w, v)))
         return (vkey(v), tuple(sorted(children)))
 
-    return min(code(c, None) for c in _tree_centers(g))
+    return min(code(c, None) for c in _centers(g.vertices, g.neighbors))
 
 
 # -- the search --------------------------------------------------------------
+
+
+def _least_decorations(n: int, auts: list, degree_ids: list, n_legs: int):
+    """(degree-index tuple, leg map) pairs, in lexicographic order, that no
+    automorphism of the tree maps to a smaller pair.
+
+    An automorphism p sends degrees d to d o p^-1 and a leg map l to p o l;
+    the inverses run over the whole group.  So a pair is least in its orbit
+    exactly when its degrees are, and its leg map is least under the
+    degrees' stabiliser.
+    """
+    for degs in degree_ids:
+        images = [tuple(map(degs.__getitem__, p)) for p in auts]
+        if min(images) < degs:
+            continue
+        stab = [p for p, image in zip(auts, images) if image == degs]
+        for legs in product(range(n), repeat=n_legs):
+            if all(tuple(map(p.__getitem__, legs)) >= legs for p in stab):
+                yield degs, legs
 
 
 def enumerate_types(
@@ -136,75 +208,95 @@ def enumerate_types(
     all_cones = sorted(target.cones(), key=sorted)
     kernels = {c: target.kernel(c) for c in all_cones}
     atoms = [a for a in cat.atoms if len(a) == len(target.rays)]
+    # (slope, tail cone, head cone) -> the edge cone, or None when the join
+    # is no cone, the slope is off its span, or a sign is wrong
+    joins: dict[tuple, Optional[Cone]] = {}
+
+    def edge_cone(slope, su: Cone, sv: Cone) -> Optional[Cone]:
+        c = su | sv
+        kern = kernels.get(c)
+        nums = None if kern is None else kern.numerators(slope)
+        # the slope leaves each endpoint strictly along every direction new
+        # to that endpoint; every kernel denominator is positive
+        if nums is None or not all(
+            (i in su or x > 0) and (i in sv or x < 0) for i, x in zip(sorted(c), nums)
+        ):
+            return None
+        return c
 
     found: dict[object, CombinatorialType] = {}
     for v_count in range(1, cat.max_vertices + 1):
         names = [f"v{i}" for i in range(v_count)]
-        for shape in _prufer_trees(v_count):
+        balanced = [
+            ids
+            for ids in product(range(len(atoms)), repeat=v_count)
+            if tuple(map(sum, zip(*(atoms[i] for i in ids)))) == lam.total_degree
+        ]
+        for shape in _tree_shapes(v_count):
             edges = [(names[a], names[b]) for a, b in shape]
-            for degs in product(atoms, repeat=v_count):
-                if tuple(map(sum, zip(*degs))) != lam.total_degree:
-                    continue
-                for leg_assign in product(names, repeat=lam.n):
-                    legs = [(w, j) for j, w in enumerate(leg_assign, start=1)]
-                    graph = DecoratedGraph(names, edges, legs, dict(zip(names, degs)))
-                    try:
-                        slopes = solve_balancing(
-                            CombinatorialType(
-                                graph=graph,
-                                target=target,
-                                vertex_cones=dict.fromkeys(names, ORIGIN),
-                                edge_cones=dict.fromkeys(edges, ORIGIN),
-                                leg_cones=leg_cones,
-                                leg_slopes=leg_slopes,
-                            )
+            # edges by their later endpoint; Prufer edges are (smaller, larger)
+            closing: list[list[int]] = [[] for _ in names]
+            for k, (a, b) in enumerate(shape):
+                closing[b].append(k)
+            auts = _automorphisms(v_count, shape)
+            for deg_ids, leg_ids in _least_decorations(v_count, auts, balanced, lam.n):
+                degs = [atoms[i] for i in deg_ids]
+                legs = [(names[w], j) for j, w in enumerate(leg_ids, start=1)]
+                graph = DecoratedGraph(names, edges, legs, dict(zip(names, degs)))
+                try:
+                    slopes = solve_balancing(
+                        CombinatorialType(
+                            graph=graph,
+                            target=target,
+                            vertex_cones=dict.fromkeys(names, ORIGIN),
+                            edge_cones=dict.fromkeys(edges, ORIGIN),
+                            leg_cones=leg_cones,
+                            leg_slopes=leg_slopes,
                         )
-                    except TypeProblem:
-                        continue
-                    # per edge: the slope's coordinate numerators over each
-                    # cone (None off its span); only their signs are read,
-                    # and every kernel denominator is positive
-                    spans = [
-                        {c: k.numerators(slopes[e]) for c, k in kernels.items()}
-                        for e in edges
+                    )
+                except TypeProblem:
+                    continue
+                edge_slopes = [slopes[e] for e in edges]
+                # vertex cones constrained by the legs they carry
+                vertex_options = [
+                    [
+                        c
+                        for c in all_cones
+                        if all(c <= leg_cones[j] for j in graph.legs_at(v))
                     ]
-                    # vertex cones constrained by the legs they carry
-                    vertex_options = [
-                        [
-                            c
-                            for c in all_cones
-                            if all(c <= leg_cones[j] for j in graph.legs_at(v))
-                        ]
-                        for v in names
-                    ]
-                    for vcones in product(*vertex_options):
-                        vertex_cones = dict(zip(names, vcones))
-                        edge_cones = {}
-                        for e, span in zip(edges, spans):
-                            su, sv = vertex_cones[e[0]], vertex_cones[e[1]]
-                            c = su | sv
-                            nums = span.get(c)
-                            # the slope leaves each endpoint strictly along
-                            # every direction new to that endpoint
-                            if nums is None or not all(
-                                (i in su or x > 0) and (i in sv or x < 0)
-                                for i, x in zip(sorted(c), nums)
-                            ):
+                    for v in names
+                ]
+                vcones: list[Cone] = [ORIGIN] * v_count
+                econes: list[Cone] = [ORIGIN] * len(edges)
+
+                def place(i: int) -> None:
+                    if i == v_count:
+                        candidate = CombinatorialType(
+                            graph=graph,
+                            target=target,
+                            vertex_cones=dict(zip(names, vcones)),
+                            edge_cones=dict(zip(edges, econes)),
+                            leg_cones=leg_cones,
+                            leg_slopes=leg_slopes,
+                            edge_slopes=slopes,
+                        )
+                        valid = validate_type(candidate).valid
+                        if valid and check_gathmann(candidate):
+                            found.setdefault(canonical_code(candidate), candidate)
+                        return
+                    for c in vertex_options[i]:
+                        vcones[i] = c
+                        for k in closing[i]:
+                            key = (edge_slopes[k], vcones[shape[k][0]], c)
+                            if key not in joins:
+                                joins[key] = edge_cone(*key)
+                            econes[k] = joins[key]
+                            if econes[k] is None:
                                 break
-                            edge_cones[e] = c
                         else:
-                            candidate = CombinatorialType(
-                                graph=graph,
-                                target=target,
-                                vertex_cones=vertex_cones,
-                                edge_cones=edge_cones,
-                                leg_cones=leg_cones,
-                                leg_slopes=leg_slopes,
-                                edge_slopes=slopes,
-                            )
-                            valid = validate_type(candidate).valid
-                            if valid and check_gathmann(candidate):
-                                found.setdefault(canonical_code(candidate), candidate)
+                            place(i + 1)
+
+                place(0)
     return [found[k] for k in sorted(found)]
 
 

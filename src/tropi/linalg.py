@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 IntVector = tuple[int, ...]
@@ -60,8 +60,16 @@ def primitive(v: IntVector) -> IntVector:
 
 
 def mat_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals, by fraction-free elimination on a copy."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Rank over the rationals, by fraction-free elimination on a copy.
+
+    Each row of ints and Fractions is scaled once to integers.  A row is
+    reduced against the pivot row by cross-multiplying, then divided by the
+    gcd of its entries.
+    """
+    m = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
     rank = 0
     cols = len(m[0]) if m else 0
     for col in range(cols):
@@ -69,11 +77,14 @@ def mat_rank(rows: Sequence[Sequence]) -> int:
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        top = m[rank]
+        pv = top[col]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col]
+            if f != 0:
+                row = [pv * a - f * b for a, b in zip(m[r], top)]
+                g = gcd(*row)
+                m[r] = [a // g for a in row] if g > 1 else row
         rank += 1
         if rank == len(m):
             break

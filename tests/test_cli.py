@@ -24,7 +24,7 @@ from tropi.serialize import (
 )
 from tropi.combtypes import solve_balancing
 from tropi.cones import ComplexError
-from tropi.enumeration import DegreeCatalogue
+from tropi.enumeration import MAX_VERTICES, DegreeCatalogue
 from tropi.render import render_dot
 from tropi.smoothing import verify_realization
 from tropi.subdivide import stellar
@@ -333,6 +333,22 @@ class TestEnumerate:
         assert not os.path.exists(out)
 
 
+    @pytest.mark.parametrize("command", ["enumerate", "sensitize-for-data"])
+    @pytest.mark.parametrize("max_vertices", [7, 1000])
+    def test_max_vertices_above_the_limit_exit_2(self, files, command, max_vertices):
+        # 7 vertices on the golden data take about 23 s; the catalogue stops it
+        cat = os.path.join(files["dir"], "cat_big.json")
+        save_json(cat, {"atoms": [[0, 0], [2, 2], [4, 4]], "max_vertices": max_vertices})
+        out = os.path.join(files["dir"], "out")
+        result = run(
+            [command, "--target", files["target"], "--lambda", files["lambda"],
+             "--catalogue", cat, "--out", out]
+        )
+        assert result.exit_code == 2
+        assert f"max_vertices must be between 1 and {MAX_VERTICES}" in result.summary
+        assert not os.path.exists(out)
+
+
 class TestRenderCommand:
     def test_dot_stdout(self, files, capsys):
         """The document alone goes to stdout, the summary to stderr."""
@@ -427,6 +443,11 @@ def _mutated(rng, payload):
     return data
 
 
+def _above_vertex_limit(catalogue) -> bool:
+    limit = catalogue.get("max_vertices") if isinstance(catalogue, dict) else None
+    return type(limit) is int and limit > MAX_VERTICES
+
+
 class TestMutatedPayloads:
     def test_documented_exit_codes_only(self, files):
         """Mutated golden payloads exit 0, 1, 2 or 3; none raises."""
@@ -457,12 +478,14 @@ class TestMutatedPayloads:
         assert {1, 2} <= codes
 
     def test_documented_exit_codes_data_commands(self, files):
-        """Mutated subdivisions, refined types, targets, slopes and
-        numerical data through pushforward, sensitize, enumerate and
+        """Mutated subdivisions, refined types, targets, slopes, numerical
+        data and catalogues through pushforward, sensitize, enumerate and
         sensitize-for-data exit 0, 1, 2 or 3; none raises.  The catalogue
-        stays at the golden atoms with at most two vertices.  This seed
-        draws a type cone outside the refined fan for pushforward and a
-        degree vector of the wrong length for enumerate."""
+        has the golden atoms and at most two vertices, unless mutated: one
+        whose max_vertices became the junk 7 exits 2 (1 if its atoms are
+        malformed too).  This seed draws a type cone outside the refined
+        fan for pushforward and a degree vector of the wrong length for
+        enumerate."""
         rng = random.Random(10)
         sub, refined_type = bivalent_type()
         pristine = {
@@ -471,29 +494,27 @@ class TestMutatedPayloads:
             "target": load_json(files["target"]),
             "slopes": load_json(files["slopes"]),
             "lambda": load_json(files["lambda"]),
+            "catalogue": catalogue_to_dict(
+                DegreeCatalogue([(0, 0), (2, 2), (4, 4)], 2)
+            ),
         }
         paths = {k: os.path.join(files["dir"], f"{k}.json") for k in pristine}
         for name, payload in pristine.items():
             save_json(paths[name], payload)
-        catalogue = os.path.join(files["dir"], "cat2.json")
-        save_json(
-            catalogue,
-            catalogue_to_dict(DegreeCatalogue([(0, 0), (2, 2), (4, 4)], 2)),
-        )
         mutated = os.path.join(files["dir"], "mutated.json")
-        # the payload at argv[2] or argv[4] is the one mutated
         commands = [
             ["pushforward", "--subdivision", "subdivision", "--type", "type"],
             ["sensitize", "--target", "target", "--slopes", "slopes"],
             ["enumerate", "--target", "target", "--lambda", "lambda",
-             "--catalogue", catalogue],
+             "--catalogue", "catalogue"],
             ["sensitize-for-data", "--target", "target", "--lambda", "lambda",
-             "--catalogue", catalogue],
+             "--catalogue", "catalogue"],
         ]
         codes = {}
-        for i in range(400):
-            argv = commands[i % len(commands)]
-            name = argv[2 + 2 * (i // len(commands) % 2)]
+        over_limit = 0
+
+        def attempt(argv, name, rng):
+            nonlocal over_limit
             payload = pristine[name]
             for _ in range(1 + rng.randrange(2)):
                 payload = _mutated(rng, payload)
@@ -502,13 +523,32 @@ class TestMutatedPayloads:
             argv += ["--out", os.path.join(files["dir"], argv[0])]
             code = run(argv).exit_code
             assert code in {0, 1, 2, 3}, (argv[0], name, payload)
-            codes.setdefault(argv[0], set()).add(code)
+            if name == "catalogue" and _above_vertex_limit(payload):
+                # refused before any search; 1 when the atoms are malformed too
+                intact = payload.get("atoms") == pristine["catalogue"]["atoms"]
+                assert (code == 2) if intact else (code in {1, 2}), (argv[0], payload)
+                over_limit += 1
+            codes.setdefault((argv[0], name == "catalogue"), set()).add(code)
+
+        # the payload at argv[2] or argv[4] is the one mutated
+        for i in range(400):
+            argv = commands[i % len(commands)]
+            attempt(argv, argv[2 + 2 * (i // len(commands) % 2)], rng)
+        # catalogues on a stream of their own, so the draws above stay as
+        # they were
+        catalogue_rng = random.Random(11)
+        for i in range(100):
+            attempt(commands[2 + i % 2], "catalogue", catalogue_rng)
+        assert len(codes) == 6
         assert all({1, 2} <= c for c in codes.values()), codes
+        assert over_limit, "no catalogue was mutated past the vertex limit"
 
     def test_documented_exit_codes_generated_payloads(self, files):
         """Seeded random payloads from the test generators, one of them
         mutated, through all ten payload commands exit 0, 1, 2 or 3; none
-        raises.  Catalogues allow at most two vertices."""
+        raises.  Catalogues allow at most two vertices, unless mutated: one
+        whose max_vertices became the junk 7 must exit 2 from enumerate and
+        sensitize-for-data."""
         rng = random.Random(23)
         names = ["target", "type", "lambda", "realization", "subdivision",
                  "slopes", "catalogue"]
@@ -532,6 +572,7 @@ class TestMutatedPayloads:
              "--catalogue", "catalogue", "--out", out],
         ]
         codes = {}
+        over_limit = 0
         for _ in range(150):
             fan = random_complex(rng)
             t = random_raw_type(rng, fan)
@@ -552,15 +593,16 @@ class TestMutatedPayloads:
             }
             name = rng.choice(names)
             payloads[name] = _mutated(rng, payloads[name])
-            cat_dict = payloads["catalogue"]
-            if isinstance(cat_dict, dict) and cat_dict.get("max_vertices") == 7:
-                # a junk 7 would start an unbounded enumeration (ROADMAP item 1)
-                cat_dict["max_vertices"] = 2
+            too_big = _above_vertex_limit(payloads["catalogue"])
+            over_limit += too_big
             for key, payload in payloads.items():
                 save_json(paths[key], payload)
             for argv in commands:
                 code = run([paths.get(a, a) for a in argv]).exit_code
                 assert code in {0, 1, 2, 3}, (argv[0], name, payloads)
+                if too_big and "--catalogue" in argv:
+                    assert code == 2, (argv[0], payloads["catalogue"])
                 codes.setdefault(argv[0], set()).add(code)
         assert all({1, 2} <= c for c in codes.values()), codes
         assert sum(0 in c for c in codes.values()) >= 9, codes
+        assert over_limit, "no catalogue was mutated past the vertex limit"

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -14,7 +15,11 @@ from tropi.combtypes import (
 from tropi import enumeration
 from tropi.cones import ORIGIN, ComplexError
 from tropi.enumeration import (
+    MAX_VERTICES,
     DegreeCatalogue,
+    _automorphisms,
+    _prufer_trees,
+    _tree_shapes,
     canonical_code,
     enumerate_types,
     sensitize_for_data,
@@ -90,6 +95,94 @@ def brute_force(target, lam, cat):
                             continue
                         found.setdefault(canonical_code(t), t)
     return found
+
+
+def reference_enumerate(target, lam, cat):
+    """The search loop as it was before the orbit search: every Prufer tree,
+    every degree tuple and leg map, the full product of vertex cones, each
+    edge's numerators precomputed over every cone.  Returns the serialized
+    types."""
+    from tropi.cones import minimal_containing_cone
+    from tropi.combtypes import DecoratedGraph, check_global_balancing
+
+    if len(lam.total_degree) != len(target.rays):
+        raise TypeProblem("degree vector does not match the target rays")
+    leg_cones = {}
+    for j, alpha in enumerate(lam.alphas, start=1):
+        cone = minimal_containing_cone(target, alpha)
+        if cone is None:
+            return []
+        leg_cones[j] = cone
+    if check_global_balancing(target, lam) is not None:
+        raise TypeProblem("global balancing fails")
+    leg_slopes = dict(enumerate(lam.alphas, start=1))
+    all_cones = sorted(target.cones(), key=sorted)
+    kernels = {c: target.kernel(c) for c in all_cones}
+    atoms = [a for a in cat.atoms if len(a) == len(target.rays)]
+
+    found = {}
+    for v_count in range(1, cat.max_vertices + 1):
+        names = [f"v{i}" for i in range(v_count)]
+        for shape in _prufer_trees(v_count):
+            edges = [(names[a], names[b]) for a, b in shape]
+            for degs in product(atoms, repeat=v_count):
+                if tuple(map(sum, zip(*degs))) != lam.total_degree:
+                    continue
+                for leg_assign in product(names, repeat=lam.n):
+                    legs = [(w, j) for j, w in enumerate(leg_assign, start=1)]
+                    graph = DecoratedGraph(names, edges, legs, dict(zip(names, degs)))
+                    try:
+                        slopes = solve_balancing(
+                            CombinatorialType(
+                                graph=graph,
+                                target=target,
+                                vertex_cones=dict.fromkeys(names, ORIGIN),
+                                edge_cones=dict.fromkeys(edges, ORIGIN),
+                                leg_cones=leg_cones,
+                                leg_slopes=leg_slopes,
+                            )
+                        )
+                    except TypeProblem:
+                        continue
+                    spans = [
+                        {c: k.numerators(slopes[e]) for c, k in kernels.items()}
+                        for e in edges
+                    ]
+                    vertex_options = [
+                        [
+                            c
+                            for c in all_cones
+                            if all(c <= leg_cones[j] for j in graph.legs_at(v))
+                        ]
+                        for v in names
+                    ]
+                    for vcones in product(*vertex_options):
+                        vertex_cones = dict(zip(names, vcones))
+                        edge_cones = {}
+                        for e, span in zip(edges, spans):
+                            su, sv = vertex_cones[e[0]], vertex_cones[e[1]]
+                            c = su | sv
+                            nums = span.get(c)
+                            if nums is None or not all(
+                                (i in su or x > 0) and (i in sv or x < 0)
+                                for i, x in zip(sorted(c), nums)
+                            ):
+                                break
+                            edge_cones[e] = c
+                        else:
+                            candidate = CombinatorialType(
+                                graph=graph,
+                                target=target,
+                                vertex_cones=vertex_cones,
+                                edge_cones=edge_cones,
+                                leg_cones=leg_cones,
+                                leg_slopes=leg_slopes,
+                                edge_slopes=slopes,
+                            )
+                            valid = validate_type(candidate).valid
+                            if valid and check_gathmann(candidate):
+                                found.setdefault(canonical_code(candidate), candidate)
+    return [type_to_dict(found[k]) for k in sorted(found)]
 
 
 class TestWorkedExample:
@@ -182,6 +275,79 @@ class TestRandomFansAgainstBruteForce:
             compared += 1
 
 
+class TestOrbitSearchAgainstReference:
+    """Same types, representatives, vertex names, edge orientations and order
+    as the search loop it replaced."""
+
+    @pytest.mark.parametrize("max_vertices", [1, 2, 3, 4])
+    def test_golden(self, max_vertices):
+        cat = DegreeCatalogue(atoms=[(0, 0), (2, 2), (4, 4)], max_vertices=max_vertices)
+        fast = enumerate_types(quadrant(), golden_lambda(), cat)
+        assert [type_to_dict(t) for t in fast] == reference_enumerate(
+            quadrant(), golden_lambda(), cat
+        )
+
+    def test_seeded_random_data(self):
+        """Seeded fans and data, with a drawn catalogue and with the
+        catalogue {0, total, total//2, rest}, both at most 3 vertices.
+
+        Draws with more than 10 cones or 3 markings are passed over: the
+        reference takes 1 to 3 s on each of those.  That limit is the
+        reference's runtime, not a filter on the search's output.
+        """
+        rng = random.Random(8)
+        compared = nonempty = 0
+        while compared < 12:
+            fan = generators.random_complex(rng)
+            lam = generators.random_lambda(rng, fan)
+            drawn = generators.random_catalogue(rng, len(fan.rays))
+            if len(list(fan.cones())) > 10 or lam.n > 3:
+                continue
+            total = lam.total_degree
+            half = tuple(x // 2 for x in total)
+            rest = tuple(a - b for a, b in zip(total, half))
+            for cat in (
+                DegreeCatalogue(drawn.atoms, min(drawn.max_vertices, 3)),
+                DegreeCatalogue([(0,) * len(total), total, half, rest], 3),
+            ):
+                fast = [type_to_dict(t) for t in enumerate_types(fan, lam, cat)]
+                assert fast == reference_enumerate(fan, lam, cat)
+                nonempty += bool(fast)
+            compared += 1
+        assert nonempty >= 12
+
+
+class TestTreeShapes:
+    @pytest.mark.parametrize("n", range(1, MAX_VERTICES + 1))
+    def test_first_prufer_tree_of_each_shape(self, n):
+        """networkx sorts the Prufer trees into isomorphism classes."""
+        nx = pytest.importorskip("networkx")
+
+        def graph(tree):
+            g = nx.Graph(list(tree))
+            g.add_nodes_from(range(n))
+            return g
+
+        firsts, graphs = [], []
+        for tree in _prufer_trees(n):
+            g = graph(tree)
+            if not any(nx.is_isomorphic(g, h) for h in graphs):
+                firsts.append(tree)
+                graphs.append(g)
+        expected = [1, 1, 1, 2, 3, 6][n - 1]
+        assert len(list(nx.nonisomorphic_trees(n))) == expected
+        assert _tree_shapes(n) == firsts
+        assert len(firsts) == expected
+
+    @pytest.mark.parametrize("n", range(3, MAX_VERTICES + 1))
+    def test_automorphism_counts(self, n):
+        path = tuple((i, i + 1) for i in range(n - 1))
+        star = tuple((0, i) for i in range(1, n))
+        assert len(_automorphisms(n, path)) == 2
+        assert len(_automorphisms(n, star)) == factorial(n - 1)
+        assert tuple(range(n)) in _automorphisms(n, path)
+
+
 class TestEdgeCases:
     def test_single_vertex_catalogue(self):
         q = quadrant()
@@ -216,6 +382,9 @@ class TestEdgeCases:
             DegreeCatalogue(atoms=[], max_vertices=1)
         with pytest.raises(TypeProblem):
             DegreeCatalogue(atoms=[(0, 0)], max_vertices=0)
+        assert DegreeCatalogue(atoms=[(0, 0)], max_vertices=MAX_VERTICES)
+        with pytest.raises(TypeProblem, match="max_vertices"):
+            DegreeCatalogue(atoms=[(0, 0)], max_vertices=MAX_VERTICES + 1)
 
 
 class TestSensitizeForData:

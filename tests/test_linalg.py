@@ -12,6 +12,7 @@ from tropi.linalg import (
     fraction_free_solve,
     is_unimodular,
     lattice_index,
+    mat_rank,
     primitive,
     solve_rational_system,
     vec_dot,
@@ -135,6 +136,73 @@ class TestSmithBasis:
         assert (len(diagonal) == len(rows)) == (det(rows) != 0)
         if det(rows):
             assert product == abs(det(rows))
+
+
+def reference_mat_rank(rows):
+    """mat_rank as it was: Gauss-Jordan elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for col in range(cols):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pv = m[rank][col]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col] / pv
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+small_fraction = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+entry = st.one_of(st.integers(min_value=-20, max_value=20), small_fraction)
+
+
+def rows_of(elements, k, min_rows, max_rows):
+    row = st.lists(elements, min_size=k, max_size=k)
+    return st.lists(row, min_size=min_rows, max_size=max_rows)
+
+
+@st.composite
+def low_rank_matrix(draw):
+    """Rows drawn as integer combinations of at most k - 1 rational rows."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    r = draw(st.integers(min_value=0, max_value=k - 1))
+    basis = draw(rows_of(entry, k, r, r))
+    coeffs = draw(rows_of(st.integers(-5, 5), r, 1, 6))
+    rows = [[sum((c * b[j] for c, b in zip(cs, basis)), 0) for j in range(k)] for cs in coeffs]
+    return rows, r
+
+
+class TestMatRank:
+    """Integer elimination against the Fraction elimination it replaced."""
+
+    @given(int_matrix)
+    def test_int_matrices(self, rows):
+        assert mat_rank(rows) == reference_mat_rank(rows)
+
+    @given(dims.flatmap(lambda k: rows_of(entry, k, 1, 5)))
+    def test_mixed_int_and_fraction_matrices(self, rows):
+        assert mat_rank(rows) == reference_mat_rank(rows)
+
+    @given(low_rank_matrix())
+    def test_rank_deficient_matrices(self, drawn):
+        rows, r = drawn
+        rank = mat_rank(rows)
+        assert rank == reference_mat_rank(rows)
+        assert rank <= r < len(rows[0])
+
+    def test_examples(self):
+        assert mat_rank([]) == 0
+        assert mat_rank([(0, 0), (0, 0)]) == 0
+        assert mat_rank([(1, 2), (2, 4)]) == 1
+        assert mat_rank([(Fraction(1, 2), Fraction(1, 3)), (3, 2)]) == 1
+        assert mat_rank([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 7)]) == 3
 
 
 class TestSolve:
