@@ -347,9 +347,8 @@ def run(argv) -> CommandResult:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
-        return CommandResult(
-            0 if exc.code == 0 else 1, "usage error" if exc.code else "ok"
-        )
+        # argparse has printed the help (exit 0) or the usage error itself
+        return CommandResult(0, "") if exc.code == 0 else CommandResult(1, "usage error")
     if args.command is None:
         return CommandResult(1, _PARSER.format_usage().strip())
     try:

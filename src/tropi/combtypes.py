@@ -345,8 +345,8 @@ def validate_type(t: CombinatorialType) -> ValidationReport:
     # leg slope membership: integral point of the leg cone
     all_ok, detail = True, ""
     for _, j in g.legs:
-        coords = t.target.cone_coords(t.leg_cones[j], t.leg_slopes[j])
-        if coords is None:
+        nums = t.target.kernel(t.leg_cones[j]).numerators(t.leg_slopes[j])
+        if nums is None or any(c < 0 for c in nums):
             all_ok, detail = False, f"leg {j} slope outside its cone"
     add("leg-slope-membership", all_ok, detail)
 
@@ -473,8 +473,8 @@ def collect_sensitive_slopes(
                 m = t.slope_from(v, e)
                 if is_zero(m):
                     continue
-                coords = t.target.cone_coords(t.edge_cones[e], m)
-                if coords is not None and any(c > 0 for c in coords):
+                nums = t.target.kernel(t.edge_cones[e]).numerators(m)
+                if nums is not None and all(c >= 0 for c in nums) and any(nums):
                     out.add(m)
                     out.add(primitive(m))
     return out

@@ -2,7 +2,8 @@
 
 Two independent decision procedures, on rows stored as coprime integers:
 
-* Fourier-Motzkin elimination, which also back-substitutes a witness point;
+* Fourier-Motzkin elimination, which also back-substitutes a witness point
+  in integer numerators over one common denominator;
 * a phase-one simplex with Bland's rule over Fractions, an oracle for it.
 
 Systems mix equalities and non-strict inequalities over free variables.
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .linalg import LinAlgError, QVector, vec_dot
@@ -34,6 +36,9 @@ def _normalize(coeffs: Sequence, rhs) -> IntRow:
     """Scale a row of ints and Fractions by a positive factor to coprime
     integers, so an inequality keeps its direction."""
     entries = (*coeffs, rhs)
+    if all(type(x) is int for x in entries):
+        c, r = _coprime(list(coeffs), rhs)
+        return tuple(c), r
     if not all(isinstance(x, (int, Fraction)) for x in entries):
         raise TypeError("constraint entries must be ints or Fractions")
     d = lcm(*(x.denominator for x in entries))
@@ -139,21 +144,32 @@ def fm_feasible(system: LinearSystem) -> Optional[QVector]:
         if r > 0:  # 0 >= r with r > 0
             return None
 
-    # back-substitute a witness
-    x: list[Fraction] = [Fraction(0)] * n
+    # back-substitute a witness x = xn / den, numerators over one denominator
+    xn = [0] * n
+    den = 1
 
     def solve_for(var: int, c: Sequence[int], r: int) -> Fraction:
-        return Fraction(r - sum(c[j] * x[j] for j in range(n) if j != var), c[var])
+        # xn[var] is still 0: every variable is assigned once
+        return Fraction(r * den - sum(map(mul, c, xn)), c[var] * den)
+
+    def assign(var: int, value: Fraction) -> None:
+        nonlocal den
+        q = value.denominator
+        if den % q:
+            grow = q // gcd(den, q)
+            xn[:] = [v * grow for v in xn]
+            den *= grow
+        xn[var] = value.numerator * (den // q)
 
     for var, lowers, uppers in reversed(stack):
         lo = max((solve_for(var, c, r) for c, r in lowers), default=None)
         hi = min((solve_for(var, c, r) for c, r in uppers), default=None)
         # var is live, so it has a lower or an upper bound
-        x[var] = lo if hi is None else hi if lo is None else (lo + hi) / 2
+        assign(var, lo if hi is None else hi if lo is None else (lo + hi) / 2)
     for piv, c, r in reversed(subs):
-        x[piv] = solve_for(piv, c, r)
+        assign(piv, solve_for(piv, c, r))
 
-    witness = tuple(x)
+    witness = tuple(Fraction(v, den) for v in xn)
     if not system.satisfied_by(witness):
         raise LinAlgError("Fourier-Motzkin witness fails its own system")
     return witness

@@ -11,13 +11,17 @@ assigned cone:
   closed form, and is guaranteed to succeed whenever the slope consequences
   of sensitivity hold on every edge.
 
-verify_realization re-checks any proposed witness from scratch.
+verify_realization re-checks any proposed witness from scratch.  Realizations
+are verified in integers after clearing denominators once: every position
+and length is scaled by the lcm d of their denominators, and cone membership
+is read off the signs of the kernel numerators of the scaled points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .combtypes import (
@@ -157,11 +161,10 @@ def _legs_admissible(t: CombinatorialType) -> bool:
     """
     for v, j in t.graph.legs:
         cone = t.leg_cones[j]
-        coords = t.target.cone_coords(cone, t.leg_slopes[j])
-        if coords is None:
+        nums = t.target.kernel(cone).numerators(t.leg_slopes[j])
+        if nums is None:
             return False
-        ids = sorted(cone)
-        for i, c in zip(ids, coords):
+        for i, c in zip(sorted(cone), nums):
             if c < 0:
                 return False
             if i not in t.vertex_cones[v] and c <= 0:
@@ -221,16 +224,10 @@ def _realization_from_witness(
     root: str,
 ) -> Realization:
     k = t.target.ambient_dim
-    x = witness[:k]
     lengths = {e: witness[k + i] for e, i in edge_index.items()}
-    paths = _path_slopes(t, root)
-    positions: dict[str, QVector] = {}
-    for v, path in paths.items():
-        pos = tuple(Fraction(c) for c in x)
-        for e, sign in path.items():
-            m = t.slope_from(e[0], e) if sign == 1 else t.slope_from(e[1], e)
-            pos = vec_add(pos, vec_scale(lengths[e], m))
-        positions[v] = pos
+    positions: dict[str, QVector] = {root: tuple(Fraction(c) for c in witness[:k])}
+    for v, e, w in t.graph.walk(root):
+        positions[w] = vec_add(positions[v], vec_scale(lengths[e], t.slope_from(v, e)))
     return Realization(root, lengths, positions)
 
 
@@ -315,6 +312,31 @@ def smooth_construct(t: CombinatorialType, start: Optional[str] = None) -> Reali
 # -- verification -----------------------------------------------------------
 
 
+def _cleared(t: CombinatorialType, r: Realization) -> tuple[dict, dict]:
+    """Positions and lengths of t's vertices and edges times d, the lcm of
+    their denominators, as integers; d > 0 keeps every sign."""
+    k = t.target.ambient_dim
+    for v in t.graph.vertices:
+        if v not in r.vertex_positions:
+            raise TypeProblem(f"realization has no position for vertex {v}")
+        if len(r.vertex_positions[v]) != k:
+            raise TypeProblem(f"position of vertex {v} does not have {k} coordinates")
+    lengths = {e: r.edge_lengths[e] for e in t.graph.edges if e in r.edge_lengths}
+    positions = {v: r.vertex_positions[v] for v in t.graph.vertices}
+    entries = [*lengths.values(), *(x for p in positions.values() for x in p)]
+    if not all(isinstance(x, (int, Fraction)) for x in entries):
+        raise TypeError("realization entries must be ints or Fractions")
+    d = lcm(*(x.denominator for x in entries))
+
+    def clear(x) -> int:
+        return x.numerator * (d // x.denominator)
+
+    return (
+        {v: tuple(map(clear, p)) for v, p in positions.items()},
+        {e: clear(l) for e, l in lengths.items()},
+    )
+
+
 def verify_realization(t: CombinatorialType, r: Realization) -> ValidationReport:
     checks: list[ValidationCheck] = []
 
@@ -322,54 +344,48 @@ def verify_realization(t: CombinatorialType, r: Realization) -> ValidationReport
         checks.append(ValidationCheck(name, passed, detail))
 
     g = t.graph
+    positions, lengths = _cleared(t, r)
     ok, detail = True, ""
     for e in g.edges:
-        if r.edge_lengths.get(e, Fraction(0)) <= 0:
+        if lengths.get(e, 0) <= 0:
             ok, detail = False, f"edge {e} has nonpositive length"
     add("positive-lengths", ok, detail)
 
     ok, detail = True, ""
-    for e in g.edges:
-        if e not in r.edge_lengths:
-            continue
+    for e, length in lengths.items():
         a, b = e
-        expected = vec_add(
-            r.vertex_positions[a],
-            vec_scale(r.edge_lengths[e], t.slope_from(a, e)),
-        )
-        if tuple(expected) != tuple(r.vertex_positions[b]):
+        if vec_add(positions[a], vec_scale(length, t.slope_from(a, e))) != positions[b]:
             ok, detail = False, f"edge {e} equation fails"
     add("edge-equations", ok, detail)
 
     ok, detail = True, ""
     for v in g.vertices:
-        coords = t.target.cone_coords(t.vertex_cones[v], r.vertex_positions[v])
-        if coords is None or any(c <= 0 for c in coords):
+        nums = t.target.kernel(t.vertex_cones[v]).numerators(positions[v])
+        if nums is None or any(c <= 0 for c in nums):
             ok, detail = False, f"vertex {v} not interior to its cone"
     add("vertex-interiority", ok, detail)
 
     ok, detail = True, ""
     for e in g.edges:
         a, b = e
-        mid = tuple(
-            (x + y) / 2
-            for x, y in zip(r.vertex_positions[a], r.vertex_positions[b])
-        )
-        coords = t.target.cone_coords(t.edge_cones[e], mid)
-        if coords is None or any(c <= 0 for c in coords):
+        # the midpoint times 2d
+        mid = vec_add(positions[a], positions[b])
+        nums = t.target.kernel(t.edge_cones[e]).numerators(mid)
+        if nums is None or any(c <= 0 for c in nums):
             ok, detail = False, f"edge {e} midpoint not interior to its cone"
     add("edge-interiority", ok, detail)
 
     ok, detail = True, ""
     for v, j in g.legs:
-        cone = t.leg_cones[j]
-        pos = t.target.cone_coords(cone, r.vertex_positions[v])
-        slope = t.target.cone_coords(cone, t.leg_slopes[j])
-        if pos is None or slope is None:
+        kern = t.target.kernel(t.leg_cones[j])
+        pos = kern.numerators(positions[v])
+        slope = kern.numerators(t.leg_slopes[j])
+        # a negative coordinate of either puts it outside the cone
+        if pos is None or slope is None or min(pos + slope, default=0) < 0:
             ok, detail = False, f"leg {j} leaves the span of its cone"
             continue
         for pc, sc in zip(pos, slope):
-            if sc < 0 or (pc <= 0 and sc <= 0):
+            if pc <= 0 and sc <= 0:
                 ok, detail = False, f"leg {j} ray not interior for all times"
     add("leg-interiority", ok, detail)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -369,6 +370,17 @@ class TestRenderCommand:
         assert open(out).read().startswith("<svg")
 
 
+def _help_text(argv) -> str:
+    """The help argparse prints for argv's parser."""
+    from tropi.cli import _PARSER
+
+    parser = _PARSER
+    if argv[0] != "--help":
+        (sub,) = [a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[argv[0]]
+    return parser.format_help()
+
+
 class TestPlumbing:
     def test_unknown_subcommand_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -376,6 +388,14 @@ class TestPlumbing:
 
     def test_no_subcommand_exit_1(self, capsys):
         assert main([]) == 1
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["enumerate", "--help"]])
+    def test_help_exit_0_ends_with_help(self, capsys, argv):
+        """The help is the whole of standard output, with no summary after it."""
+        assert main(argv) == 0
+        assert capsys.readouterr().out == _help_text(argv)
+        assert run(argv).summary == ""
         capsys.readouterr()
 
     def test_missing_file_exit_1(self):

@@ -19,11 +19,11 @@ from tropi.combtypes import (
     solve_balancing,
     validate_type,
 )
-from tropi.linalg import solve_rational_system, vec_dot
+from tropi.linalg import is_zero, primitive, solve_rational_system, vec_dot
 from tropi.subdivide import compose, identity_subdivision, stellar, stellar_at_point
 
 from fixtures import E1, E2, deg, golden_graph, golden_lambda, golden_type, quadrant
-from generators import random_tree_edges
+from generators import random_complex, random_raw_type, random_tree_edges
 
 
 def random_graph(rng, n_rays=1):
@@ -244,6 +244,14 @@ class TestValidate:
         report = validate_type(t)
         assert any(c.name == "positivity" for c in report.failures())
 
+    def test_leg_slope_negative_coordinate(self):
+        t = golden_type(with_slopes=True)
+        t.leg_slopes[3] = (-1, 4)  # in the span of the full cone, not in it
+        report = validate_type(t)
+        assert ("leg-slope-membership", "leg 3 slope outside its cone") in {
+            (c.name, c.detail) for c in report.failures()
+        }
+
 
 class TestGathmann:
     def test_golden_passes(self):
@@ -288,6 +296,51 @@ class TestGathmann:
             edge_slopes={},
         )
         assert check_gathmann(t) is True
+
+
+
+def _raw_types():
+    rng = random.Random(13)
+    for _ in range(150):
+        yield random_raw_type(rng, random_complex(rng))
+
+
+class TestSignOnlyReaders:
+    """The leg check of validate_type and collect_sensitive_slopes read the
+    signs of kernel numerators; they agree with the coordinates that
+    cone_coords gives (None off the span or with a negative coordinate)."""
+
+    def test_leg_slope_membership(self):
+        outside = 0
+        for t in _raw_types():
+            expected = ""
+            for _, j in t.graph.legs:
+                if t.target.cone_coords(t.leg_cones[j], t.leg_slopes[j]) is None:
+                    expected = f"leg {j} slope outside its cone"
+            (check,) = [
+                c for c in validate_type(t).checks if c.name == "leg-slope-membership"
+            ]
+            assert (check.passed, check.detail) == (not expected, expected)
+            outside += bool(expected)
+        assert outside >= 20
+
+    def test_collect_sensitive_slopes(self):
+        found = 0
+        for t in _raw_types():
+            if t.edge_slopes is None:
+                continue
+            expected = set()
+            for e in t.graph.edges:
+                for v in e:
+                    m = t.slope_from(v, e)
+                    if is_zero(m):
+                        continue
+                    coords = t.target.cone_coords(t.edge_cones[e], m)
+                    if coords is not None and any(c > 0 for c in coords):
+                        expected |= {m, primitive(m)}
+            assert collect_sensitive_slopes([t]) == expected
+            found += bool(expected)
+        assert found >= 10
 
 
 class TestCollectSlopes:

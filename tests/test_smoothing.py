@@ -4,10 +4,19 @@ from fractions import Fraction
 import pytest
 
 from tropi.cones import ORIGIN
-from tropi.combtypes import CombinatorialType, DecoratedGraph, TypeProblem, solve_balancing
-from tropi.feasibility import LinearSystem
+from tropi.combtypes import (
+    CombinatorialType,
+    DecoratedGraph,
+    TypeProblem,
+    ValidationCheck,
+    ValidationReport,
+    solve_balancing,
+)
+from tropi.feasibility import LinearSystem, fm_feasible
+from tropi.linalg import vec_add, vec_scale
 from tropi.smoothing import (
     Realization,
+    _legs_admissible,
     _path_slopes,
     _realization_from_witness,
     build_smoothing_system,
@@ -23,6 +32,7 @@ from fixtures import E1, E2, golden_type, octant, quadrant
 from generators import (
     random_complex,
     random_raw_type,
+    random_realization,
     random_smooth_fan,
     random_staircase_type,
 )
@@ -256,6 +266,45 @@ class TestIntegerSystem:
         assert fractional >= 20 and infeasible >= 20
 
 
+class TestLegsAdmissible:
+    def test_negative_coordinate_on_the_vertex_cone(self):
+        """Slope (-1, 1) from a vertex on the ray (1, 0), in the span of the
+        full quadrant but not in it: no realization exists."""
+        q = quadrant()
+        ray1 = frozenset({q.rays.index((1, 0))})
+        t = CombinatorialType(
+            graph=DecoratedGraph(["v"], [], [("v", 1)], {"v": (0, 0)}),
+            target=q,
+            vertex_cones={"v": ray1},
+            edge_cones={},
+            leg_cones={1: frozenset(range(2))},
+            leg_slopes={1: (-1, 1)},
+            edge_slopes={},
+        )
+        assert not _legs_admissible(t)
+        assert build_smoothing_system(t) is None
+
+    def test_matches_cone_coords(self):
+        """The numerator signs give the verdict of the coordinates from
+        cone_coords on arbitrary decorations."""
+        rng = random.Random(17)
+        verdicts = set()
+        for _ in range(300):
+            t = random_raw_type(rng, random_complex(rng))
+            expected = True
+            for v, j in t.graph.legs:
+                cone = t.leg_cones[j]
+                coords = t.target.cone_coords(cone, t.leg_slopes[j])
+                if coords is None or any(
+                    c <= 0 and i not in t.vertex_cones[v]
+                    for i, c in zip(sorted(cone), coords)
+                ):
+                    expected = False
+            assert _legs_admissible(t) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+
 class TestSmoothConstruct:
     def test_descending_formula(self):
         t = descending_type()
@@ -328,3 +377,233 @@ class TestVerify:
         r = smooth_construct(t)
         for lam in (Fraction(1, 3), Fraction(7, 2)):
             assert verify_realization(t, r.scaled(lam)).valid
+
+
+# -- the integer verifier against the Fraction code it replaced ---------------
+
+
+def reference_verify_realization(t, r):
+    """verify_realization as it was over Fractions, through cone_coords."""
+    checks = []
+
+    def add(name, passed, detail=""):
+        checks.append(ValidationCheck(name, passed, detail))
+
+    g = t.graph
+    ok, detail = True, ""
+    for e in g.edges:
+        if r.edge_lengths.get(e, Fraction(0)) <= 0:
+            ok, detail = False, f"edge {e} has nonpositive length"
+    add("positive-lengths", ok, detail)
+
+    ok, detail = True, ""
+    for e in g.edges:
+        if e not in r.edge_lengths:
+            continue
+        a, b = e
+        expected = vec_add(
+            r.vertex_positions[a],
+            vec_scale(r.edge_lengths[e], t.slope_from(a, e)),
+        )
+        if tuple(expected) != tuple(r.vertex_positions[b]):
+            ok, detail = False, f"edge {e} equation fails"
+    add("edge-equations", ok, detail)
+
+    ok, detail = True, ""
+    for v in g.vertices:
+        coords = t.target.cone_coords(t.vertex_cones[v], r.vertex_positions[v])
+        if coords is None or any(c <= 0 for c in coords):
+            ok, detail = False, f"vertex {v} not interior to its cone"
+    add("vertex-interiority", ok, detail)
+
+    ok, detail = True, ""
+    for e in g.edges:
+        a, b = e
+        mid = tuple(
+            (x + y) / 2
+            for x, y in zip(r.vertex_positions[a], r.vertex_positions[b])
+        )
+        coords = t.target.cone_coords(t.edge_cones[e], mid)
+        if coords is None or any(c <= 0 for c in coords):
+            ok, detail = False, f"edge {e} midpoint not interior to its cone"
+    add("edge-interiority", ok, detail)
+
+    ok, detail = True, ""
+    for v, j in g.legs:
+        cone = t.leg_cones[j]
+        pos = t.target.cone_coords(cone, r.vertex_positions[v])
+        slope = t.target.cone_coords(cone, t.leg_slopes[j])
+        if pos is None or slope is None:
+            ok, detail = False, f"leg {j} leaves the span of its cone"
+            continue
+        for pc, sc in zip(pos, slope):
+            if sc < 0 or (pc <= 0 and sc <= 0):
+                ok, detail = False, f"leg {j} ray not interior for all times"
+    add("leg-interiority", ok, detail)
+
+    return ValidationReport(tuple(checks))
+
+
+def reference_realization_from_witness(t, witness, edge_index, root):
+    """_realization_from_witness as it was: each vertex summed along its
+    whole root path over Fractions."""
+    k = t.target.ambient_dim
+    x = witness[:k]
+    lengths = {e: witness[k + i] for e, i in edge_index.items()}
+    positions = {}
+    for v, path in _path_slopes(t, root).items():
+        pos = tuple(Fraction(c) for c in x)
+        for e, sign in path.items():
+            m = t.slope_from(e[0], e) if sign == 1 else t.slope_from(e[1], e)
+            pos = vec_add(pos, vec_scale(lengths[e], m))
+        positions[v] = pos
+    return Realization(root, lengths, positions)
+
+
+def _with(r, lengths=None, positions=None):
+    return Realization(
+        r.root_vertex,
+        {**r.edge_lengths, **(lengths or {})},
+        {**r.vertex_positions, **(positions or {})},
+    )
+
+
+def _off_cone(t, r, v):
+    """v's position moved just past the first generator of its cone, or off
+    the origin."""
+    p = r.vertex_positions[v]
+    cone = t.vertex_cones[v]
+    if not cone:
+        return vec_add(p, (Fraction(1, 7),) + (0,) * (len(p) - 1))
+    kern = t.target.kernel(cone)
+    c0 = Fraction(kern.numerators(p)[0], kern.denom)
+    return vec_add(p, vec_scale(-(c0 + Fraction(1, 7)), t.target.generators(cone)[0]))
+
+
+def _leg_trap(t, r):
+    """A leg's vertex moved to -1 times one leg-cone generator on which the
+    leg's slope is positive, plus the others: one negative coordinate with a
+    positive slope coordinate there.  None when no leg allows it."""
+    for v, j in t.graph.legs:
+        cone = t.leg_cones[j]
+        nums = t.target.kernel(cone).numerators(t.leg_slopes[j])
+        hits = [i for i, c in enumerate(nums) if c > 0]
+        if hits:
+            gens = t.target.generators(cone)
+            coeffs = [-1 if i == hits[0] else 1 for i in range(len(gens))]
+            pos = tuple(sum(c * g[d] for c, g in zip(coeffs, gens)) for d in range(len(gens[0])))
+            return _with(r, positions={v: pos})
+    return None
+
+
+class TestIntegerVerifier:
+    """verify_realization and _realization_from_witness against the Fraction
+    code they replaced, on valid realizations and on perturbations of them."""
+
+    def _types(self):
+        yield golden_type(with_slopes=True)
+        yield ray_type().with_slopes(solve_balancing(ray_type()))
+        yield descending_type()
+        rng = random.Random(47)
+        for _ in range(64):
+            yield random_staircase_type(rng, random_smooth_fan(rng, rng.choice([2, 3])))
+
+    def _cases(self):
+        """(type, realization, label) for every input the test compares."""
+        rng = random.Random(5)
+        for t in self._types():
+            valid = []
+            try:
+                valid.append(smooth_construct(t))
+            except TypeProblem:
+                pass
+            lp = smoothable_lp(t)
+            if lp is not None:
+                valid.append(lp)
+            yield t, random_realization(rng, t), "random"
+            for r in valid:
+                yield t, r, "valid"
+                yield t, r.scaled(Fraction(-1)), "negated"
+                yield t, r.scaled(Fraction(5, 3)), "scaled"
+                yield t, r.scaled(Fraction(2, 9)), "scaled"
+                v = rng.choice(t.graph.vertices)
+                yield t, _with(r, positions={v: _off_cone(t, r, v)}), "off-cone"
+                if t.graph.edges:
+                    e = rng.choice(t.graph.edges)
+                    yield t, _with(r, lengths={e: Fraction(0)}), "zero-length"
+                    yield t, _with(r, lengths={e: Fraction(1, 97)}), "odd-length"
+                trap = _leg_trap(t, r)
+                if trap is not None:
+                    yield t, trap, "leg-trap"
+
+    def test_reports_match_reference(self):
+        seen = {}
+        for t, r, label in self._cases():
+            report = verify_realization(t, r)
+            assert report == reference_verify_realization(t, r), label
+            if label == "negated" and not any(map(any, r.vertex_positions.values())):
+                label = "negated at the origin"
+            seen.setdefault(label, []).append(report)
+        assert len(seen["valid"]) >= 60
+        assert all(r.valid for r in seen["valid"])
+        assert not any(r.valid for r in seen["negated"])
+        assert not any(r.checks[2].passed for r in seen["off-cone"])
+        assert all(r.valid for r in seen["scaled"])
+        assert not any(r.valid for r in seen["zero-length"])
+        # a contracted edge takes any positive length
+        assert any(r.valid for r in seen["odd-length"])
+        assert len(seen["leg-trap"]) >= 20
+        for r in seen["leg-trap"]:
+            assert r.checks[-1].detail.endswith("leaves the span of its cone")
+
+    def test_lp_realizations_match_reference(self):
+        feasible = 0
+        for t in self._types():
+            built = build_smoothing_system(t)
+            if built is None:
+                assert smoothable_lp(t) is None
+                continue
+            sys, edge_index, root = built
+            witness = fm_feasible(sys)
+            r = smoothable_lp(t)
+            if witness is None:
+                assert r is None
+                continue
+            feasible += 1
+            expected = reference_realization_from_witness(t, witness, edge_index, root)
+            assert r == expected
+            assert list(r.vertex_positions) == list(expected.vertex_positions)
+            assert all(
+                type(x) is Fraction for p in r.vertex_positions.values() for x in p
+            )
+        assert feasible >= 40
+
+
+class TestMalformedRealization:
+    def _valid(self):
+        t = ray_type().with_slopes(solve_balancing(ray_type()))
+        return t, smooth_construct(t)
+
+    def test_missing_position(self):
+        t, r = self._valid()
+        positions = {v: p for v, p in r.vertex_positions.items() if v != "w"}
+        with pytest.raises(TypeProblem, match="vertex w"):
+            verify_realization(t, Realization(r.root_vertex, r.edge_lengths, positions))
+
+    def test_wrong_length_position(self):
+        t, r = self._valid()
+        bad = _with(r, positions={"u": (0, 0, 0)})
+        with pytest.raises(TypeProblem, match="vertex u"):
+            verify_realization(t, bad)
+
+    def test_float_entry(self):
+        t, r = self._valid()
+        p = r.vertex_positions["w"]
+        bad = _with(r, positions={"w": (float(p[0]),) + p[1:]})
+        with pytest.raises(TypeError):
+            reference_verify_realization(t, bad)
+        with pytest.raises(TypeError):
+            verify_realization(t, bad)
+        e = t.graph.edges[0]
+        with pytest.raises(TypeError):
+            verify_realization(t, _with(r, lengths={e: float(r.edge_lengths[e])}))
