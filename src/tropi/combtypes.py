@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cones import (
     Cone,
     ConeComplex,
+    _locate,
     fan_coordinates,
     minimal_containing_cone,
 )
@@ -265,16 +267,12 @@ def check_global_balancing(
 # -- balancing solver ------------------------------------------------------
 
 
-def _vertex_imbalance(t: CombinatorialType, v: str) -> list[Fraction]:
-    """Degree minus leg contributions, in fan coordinates at the vertex."""
-    out = [Fraction(d) for d in t.graph.degrees[v]]
-    for j in t.graph.legs_at(v):
-        coords = fan_coordinates(t.target, t.leg_slopes[j])
-        if coords is None:
-            raise TypeProblem(f"leg slope {j} lies outside the support")
-        for i, c in enumerate(coords):
-            out[i] -= c
-    return out
+def _ambient_degree(target: ConeComplex, d: Sequence[int]) -> list[int]:
+    """The degree vector d as an ambient vector: the sum of d[i] * ray i."""
+    return [
+        sum(x * r[k] for x, r in zip(d, target.rays))
+        for k in range(target.ambient_dim)
+    ]
 
 
 def solve_balancing(
@@ -282,28 +280,42 @@ def solve_balancing(
 ) -> dict[Edge, IntVector]:
     """Unique edge slopes balancing every vertex of the tree.
 
-    Works leaf to root: each child's outgoing slope is determined by its own
-    balancing equation; the root equation is then a consistency check,
-    equivalent to global balancing.
+    Works leaf to root in integers: each vertex contributes its degree as
+    an ambient vector minus its leg slopes, and the slope leaving a subtree
+    is the sum of its vertices' contributions (the fan coordinates of an
+    in-support leg slope rebuild it exactly).  The root equation is then a
+    consistency check, equivalent to global balancing.  It is made per ray,
+    in fan coordinates: on a fan with dependent rays a zero ambient sum does
+    not make every ray's residual zero.
     """
     g = t.graph
     if root is None:
         root = g.vertices[0]
-    rays, k_amb = t.target.rays, t.target.ambient_dim
-    # per vertex, per ray: degree minus legs minus solved children
-    residual = {v: _vertex_imbalance(t, v) for v in g.vertices}
+    located = []  # (ray ids, numerators, denominator) of every leg slope
+    net = {}
+    for v in g.vertices:
+        vec = _ambient_degree(t.target, g.degrees[v])
+        for j in g.legs_at(v):
+            hit = _locate(t.target, t.leg_slopes[j])
+            if hit is None:
+                raise TypeProblem(f"leg slope {j} lies outside the support")
+            located.append(hit)
+            vec = [x - y for x, y in zip(vec, t.leg_slopes[j])]
+        net[v] = vec
     out: dict[Edge, IntVector] = {}
     for v, e, w in reversed(list(g.walk(root))):
-        coords = residual[w]
-        for i, c in enumerate(coords):
-            residual[v][i] += c  # the parent receives -m(up)
-        # integral: fan coordinates rebuild every in-support leg slope, so
-        # this is an integer combination of rays minus integer leg slopes
-        vec = [sum(c * r[k] for c, r in zip(coords, rays)) for k in range(k_amb)]
-        sign = 1 if e[0] == w else -1  # oriented away from e[0]
-        out[e] = tuple(int(sign * x) for x in vec)
-    for i, c in enumerate(residual[root]):
-        if c != 0:
+        m = net[w]  # w's whole subtree, leaving it toward v
+        net[v] = [x + y for x, y in zip(net[v], m)]
+        out[e] = tuple(m) if e[0] == w else vec_neg(m)  # away from e[0]
+    # per ray: total degree against the legs' fan coordinates, over the lcm
+    # of their denominators
+    den = lcm(*(d for _, _, d in located))
+    residual = [den * sum(col) for col in zip(*g.degrees.values())]
+    for ids, nums, d in located:
+        for i, x in zip(ids, nums):
+            residual[i] -= x * (den // d)
+    for i, r in enumerate(residual):
+        if r != 0:
             raise TypeProblem(f"global balancing fails in ray direction {i}")
     return out
 

@@ -22,6 +22,12 @@ candidate, so the output does not depend on them:
   the tree maps it to a lexicographically smaller one.  That image is visited
   earlier, and its candidates are the isomorphic images of this decoration's
   candidates, with the same codes.
+
+Edge slopes are integer subtree sums: the slope leaving a subtree is the sum
+of its vertices' degrees as ambient vectors minus its leg slopes, summed in
+``solve_balancing``'s edge order.  Types are built only for candidates: a
+decoration's ``DecoratedGraph`` at its first complete vertex-cone assignment,
+a ``CombinatorialType`` per candidate.
 """
 
 from __future__ import annotations
@@ -36,19 +42,19 @@ from .combtypes import (
     DecoratedGraph,
     NumericalData,
     TypeProblem,
+    _ambient_degree,
     check_gathmann,
     check_global_balancing,
     collect_sensitive_slopes,
-    solve_balancing,
     validate_type,
 )
 from .subdivide import Subdivision, sensitize
 
 MAX_VERTICES = 6
 """Largest catalogue ``max_vertices``.  The golden quadrant example (atoms
-(0,0), (2,2), (4,4)) takes about 7 s at 6 vertices (3327 types) and about
-23 s at 7 on a 2-vCPU Linux VM, and each further vertex multiplies the
-search by the number of atoms and of trees."""
+(0,0), (2,2), (4,4)) takes about 2.6 s at 6 vertices (3327 types) and about
+11 s at 7 (13313 types) on a 2-vCPU Linux VM with Python 3.11, and each
+further vertex multiplies the search by the number of atoms and of trees."""
 
 
 @dataclass(frozen=True)
@@ -224,6 +230,7 @@ def enumerate_types(
             return None
         return c
 
+    atom_vecs = [_ambient_degree(target, a) for a in atoms]
     found: dict[object, CombinatorialType] = {}
     for v_count in range(1, cat.max_vertices + 1):
         names = [f"v{i}" for i in range(v_count)]
@@ -238,39 +245,50 @@ def enumerate_types(
             closing: list[list[int]] = [[] for _ in names]
             for k, (a, b) in enumerate(shape):
                 closing[b].append(k)
+            # solve_balancing's edge order from v0, leaf to root: (edge,
+            # parent, child, whether the edge points away from the child)
+            bare = DecoratedGraph(names, edges, [], dict.fromkeys(names, ()))
+            steps = [
+                (e, names.index(v), names.index(w), e[0] == w)
+                for v, e, w in reversed(list(bare.walk(names[0])))
+            ]
             auts = _automorphisms(v_count, shape)
             for deg_ids, leg_ids in _least_decorations(v_count, auts, balanced, lam.n):
-                degs = [atoms[i] for i in deg_ids]
-                legs = [(names[w], j) for j, w in enumerate(leg_ids, start=1)]
-                graph = DecoratedGraph(names, edges, legs, dict(zip(names, degs)))
-                try:
-                    slopes = solve_balancing(
-                        CombinatorialType(
-                            graph=graph,
-                            target=target,
-                            vertex_cones=dict.fromkeys(names, ORIGIN),
-                            edge_cones=dict.fromkeys(edges, ORIGIN),
-                            leg_cones=leg_cones,
-                            leg_slopes=leg_slopes,
-                        )
-                    )
-                except TypeProblem:
-                    continue
+                # the slope leaving a subtree is the sum of its degrees as
+                # ambient vectors minus its leg slopes.  No root check: the
+                # degrees sum to the total degree, and so do the legs' fan
+                # coordinates (check_global_balancing), so every root
+                # residual is zero and these are solve_balancing's slopes
+                net = [atom_vecs[i] for i in deg_ids]
+                legs_at: list[list[int]] = [[] for _ in names]
+                for j, (w, alpha) in enumerate(zip(leg_ids, lam.alphas), start=1):
+                    net[w] = [x - y for x, y in zip(net[w], alpha)]
+                    legs_at[w].append(j)
+                slopes = {}
+                for e, p, c, away in steps:
+                    m = net[c]
+                    net[p] = [x + y for x, y in zip(net[p], m)]
+                    slopes[e] = tuple(m) if away else tuple(-x for x in m)
                 edge_slopes = [slopes[e] for e in edges]
                 # vertex cones constrained by the legs they carry
                 vertex_options = [
-                    [
-                        c
-                        for c in all_cones
-                        if all(c <= leg_cones[j] for j in graph.legs_at(v))
-                    ]
-                    for v in names
+                    [c for c in all_cones if all(c <= leg_cones[j] for j in js)]
+                    for js in legs_at
                 ]
                 vcones: list[Cone] = [ORIGIN] * v_count
                 econes: list[Cone] = [ORIGIN] * len(edges)
+                graph: Optional[DecoratedGraph] = None
 
                 def place(i: int) -> None:
+                    nonlocal graph
                     if i == v_count:
+                        if graph is None:
+                            graph = DecoratedGraph(
+                                names,
+                                edges,
+                                [(names[w], j) for j, w in enumerate(leg_ids, start=1)],
+                                {v: atoms[d] for v, d in zip(names, deg_ids)},
+                            )
                         candidate = CombinatorialType(
                             graph=graph,
                             target=target,

@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from tropi.combtypes import (
     check_gathmann,
     collect_sensitive_slopes,
@@ -60,9 +62,6 @@ from generators import (
 
 GOLDEN_CATALOGUE = DegreeCatalogue(atoms=[(0, 0), (2, 2), (4, 4)], max_vertices=3)
 
-# feasibility systems collected by criteria 2 and 4, re-checked by criterion 6
-_SMOOTHING_SYSTEMS = []
-
 
 def _report(n: int, ok: bool, elapsed: float, note: str = "") -> None:
     status = "PASS" if ok else "FAIL"
@@ -71,10 +70,31 @@ def _report(n: int, ok: bool, elapsed: float, note: str = "") -> None:
     assert ok, f"criterion {n} failed{extra}"
 
 
-def _collect_system(t):
-    built = build_smoothing_system(t)
-    if built is not None:
-        _SMOOTHING_SYSTEMS.append(built[0])
+def _staircase_suite():
+    """Criterion 4's 200 seeded staircase types: valid, and passing the
+    sensitivity consequences."""
+    rng = random.Random(2024)
+    count = 0
+    while count < 200:
+        fan = random_smooth_fan(rng, rng.choice([2, 3]))
+        t = random_staircase_type(rng, fan, max_vertices=8)
+        if not validate_type(t).valid:
+            continue
+        if not check_sensitivity_consequences(t).passed:
+            continue
+        count += 1
+        yield t
+
+
+def _systems(types):
+    return [built[0] for built in map(build_smoothing_system, types) if built is not None]
+
+
+@pytest.fixture(scope="module")
+def smoothing_systems():
+    """The feasibility systems of criteria 2 and 4 (the golden type, then
+    the staircase suite), built once; criterion 6 re-checks them."""
+    return _systems([golden_type(with_slopes=True), *_staircase_suite()])
 
 
 def test_criterion_1_balancing_golden():
@@ -86,13 +106,12 @@ def test_criterion_1_balancing_golden():
     _report(1, ok, elapsed, f"slopes {slopes[E1]}, {slopes[E2]}")
 
 
-def test_criterion_2_non_smoothability_golden():
+def test_criterion_2_non_smoothability_golden(smoothing_systems):
     t = golden_type(with_slopes=True)
     start = time.perf_counter()
     witness = smoothable_lp(t)
     report = check_sensitivity_consequences(t)
     elapsed = time.perf_counter() - start
-    _collect_system(t)
     verdict = report.edges[E1]
     ok = (
         witness is None
@@ -101,6 +120,7 @@ def test_criterion_2_non_smoothability_golden():
         and elapsed < 0.100
     )
     _report(2, ok, elapsed, "infeasible; edge e1 flagged both ways")
+    assert _systems([t]) == smoothing_systems[:1]
 
 
 def test_criterion_3_sensitization_golden():
@@ -116,20 +136,14 @@ def test_criterion_3_sensitization_golden():
     _report(3, ok, elapsed, f"{len(sub.refined.rays)} rays, 4 unimodular cones")
 
 
-def test_criterion_4_constructive_smoothing_suite():
-    rng = random.Random(2024)
+def test_criterion_4_constructive_smoothing_suite(smoothing_systems):
     start = time.perf_counter()
     disagreements = 0
     count = 0
-    while count < 200:
-        fan = random_smooth_fan(rng, rng.choice([2, 3]))
-        t = random_staircase_type(rng, fan, max_vertices=8)
-        if not validate_type(t).valid:
-            continue
-        if not check_sensitivity_consequences(t).passed:
-            continue
+    systems = []
+    for t in _staircase_suite():
         count += 1
-        _collect_system(t)
+        systems += _systems([t])
         try:
             r = smooth_construct(t)
             constructed_ok = verify_realization(t, r).valid
@@ -141,6 +155,7 @@ def test_criterion_4_constructive_smoothing_suite():
     elapsed = time.perf_counter() - start
     ok = disagreements == 0 and elapsed < 60.0
     _report(4, ok, elapsed, f"{count} types, {disagreements} disagreements")
+    assert systems == smoothing_systems[1:]
 
 
 def _balancing_oracle(t):
@@ -194,17 +209,17 @@ def test_criterion_5_solver_cross_validation():
     _report(5, ok, elapsed, f"{checked} trees, {mismatches} mismatches")
 
 
-def test_criterion_6_feasibility_oracle_agreement():
+def test_criterion_6_feasibility_oracle_agreement(smoothing_systems):
     start = time.perf_counter()
-    assert _SMOOTHING_SYSTEMS, "criteria 2 and 4 must run first"
+    assert smoothing_systems
     disagreements = 0
-    for system in _SMOOTHING_SYSTEMS:
+    for system in smoothing_systems:
         if (fm_feasible(system) is not None) != simplex_feasible(system):
             disagreements += 1
     elapsed = time.perf_counter() - start
     ok = disagreements == 0
     _report(
-        6, ok, elapsed, f"{len(_SMOOTHING_SYSTEMS)} systems, {disagreements} disagreements"
+        6, ok, elapsed, f"{len(smoothing_systems)} systems, {disagreements} disagreements"
     )
 
 

@@ -1,10 +1,11 @@
+import collections
 import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from tropi.cones import ORIGIN, ConeComplex, minimal_containing_cone
+from tropi.cones import ORIGIN, ConeComplex, fan_coordinates, minimal_containing_cone
 from tropi.combtypes import (
     CombinatorialType,
     DecoratedGraph,
@@ -23,7 +24,14 @@ from tropi.linalg import is_zero, primitive, solve_rational_system, vec_dot
 from tropi.subdivide import compose, identity_subdivision, stellar, stellar_at_point
 
 from fixtures import E1, E2, deg, golden_graph, golden_lambda, golden_type, quadrant
-from generators import random_complex, random_raw_type, random_tree_edges
+from generators import (
+    random_complex,
+    random_lambda,
+    random_raw_type,
+    random_smooth_fan,
+    random_staircase_type,
+    random_tree_edges,
+)
 
 
 def random_graph(rng, n_rays=1):
@@ -210,6 +218,170 @@ class TestBalancing:
             assert sol is not None
             for e, val in zip(edges, sol.vector):
                 assert Fraction(slopes[e][coord]) == val
+
+
+def golden_fan():
+    """The golden refinement of the quadrant: five rays in the plane, so the
+    rays are linearly dependent."""
+    fan = quadrant()
+    for point in [(1, 1), (2, 1), (1, 2)]:
+        fan = stellar_at_point(fan, point).refined
+    return fan
+
+
+def _vertex_imbalance(t, v):
+    """Degree minus leg contributions, in fan coordinates at the vertex."""
+    out = [Fraction(d) for d in t.graph.degrees[v]]
+    for j in t.graph.legs_at(v):
+        coords = fan_coordinates(t.target, t.leg_slopes[j])
+        if coords is None:
+            raise TypeProblem(f"leg slope {j} lies outside the support")
+        for i, c in enumerate(coords):
+            out[i] -= c
+    return out
+
+
+def reference_solve_balancing(t, root=None):
+    """The Fraction solver the integer one replaced: per-ray residuals in
+    fan coordinates, summed leaf to root."""
+    g = t.graph
+    if root is None:
+        root = g.vertices[0]
+    rays, k_amb = t.target.rays, t.target.ambient_dim
+    residual = {v: _vertex_imbalance(t, v) for v in g.vertices}
+    out = {}
+    for v, e, w in reversed(list(g.walk(root))):
+        coords = residual[w]
+        for i, c in enumerate(coords):
+            residual[v][i] += c
+        vec = [sum(c * r[k] for c, r in zip(coords, rays)) for k in range(k_amb)]
+        sign = 1 if e[0] == w else -1
+        out[e] = tuple(int(sign * x) for x in vec)
+    for i, c in enumerate(residual[root]):
+        if c != 0:
+            raise TypeProblem(f"global balancing fails in ray direction {i}")
+    return out
+
+
+def balancing_outcome(solver, t, root=None):
+    """The slopes as an ordered item list, or the TypeProblem message."""
+    try:
+        return list(solver(t, root).items())
+    except TypeProblem as exc:
+        return str(exc)
+
+
+def drawn_type(rng, fan):
+    """A tree on fan whose legs carry random_lambda's tangencies and whose
+    vertices split the total degree at random (negative entries allowed).
+    Edges come shuffled and in either orientation."""
+    lam = random_lambda(rng, fan)
+    names = [f"v{i}" for i in range(rng.randint(1, 7))]
+    edges = [e if rng.random() < 0.5 else e[::-1] for e in random_tree_edges(rng, names)]
+    rng.shuffle(edges)
+    rng.shuffle(names)
+    legs = [(rng.choice(names), j) for j in range(1, lam.n + 1)]
+    rng.shuffle(legs)
+    degrees = {v: [rng.randint(-2, 2) for _ in fan.rays] for v in names[1:]}
+    degrees[names[0]] = [
+        total - sum(d[i] for d in degrees.values())
+        for i, total in enumerate(lam.total_degree)
+    ]
+    return CombinatorialType(
+        graph=DecoratedGraph(names, edges, legs, degrees),
+        target=fan,
+        vertex_cones=dict.fromkeys(names, ORIGIN),
+        edge_cones=dict.fromkeys(edges, ORIGIN),
+        leg_cones=dict.fromkeys(range(1, lam.n + 1), ORIGIN),
+        leg_slopes=dict(enumerate(lam.alphas, start=1)),
+    )
+
+
+class TestIntegerBalancingAgainstReference:
+    """The integer solver returns the Fraction solver's dict (keys, key
+    order, values) or raises its TypeProblem message."""
+
+    def assert_same(self, t, roots):
+        for root in roots:
+            got = balancing_outcome(solve_balancing, t, root)
+            assert got == balancing_outcome(reference_solve_balancing, t, root)
+            if not isinstance(got, str):
+                assert all(type(x) is int for _, m in got for x in m)
+        return got
+
+    def test_seeded_types(self):
+        """Drawn balanced trees; the same trees with one degree entry moved
+        by one, and with one leg slope moved off the support; staircase and
+        raw types.  On random 2D and 3D fans and on the golden fan, from
+        the default root and three others."""
+        rng = random.Random(31)
+        outcomes = collections.Counter()
+
+        def check(kind, t):
+            roots = [None, *rng.sample(t.graph.vertices, min(3, len(t.graph.vertices)))]
+            got = self.assert_same(t, roots)
+            outcomes[kind, got.split(" in ")[0] if isinstance(got, str) else "solved"] += 1
+
+        for n in range(90):
+            fan = golden_fan() if n % 3 == 0 else random_complex(rng)
+            t = drawn_type(rng, fan)
+            check("drawn", t)
+            v = rng.choice(t.graph.vertices)
+            moved = list(t.graph.degrees[v])
+            moved[rng.randrange(len(moved))] += rng.choice([-1, 1])
+            degrees = {**t.graph.degrees, v: moved}
+            g = DecoratedGraph(t.graph.vertices, t.graph.edges, t.graph.legs, degrees)
+            check("moved", dataclasses.replace(t, graph=g))
+            if t.leg_slopes:
+                off = {**t.leg_slopes, rng.choice(sorted(t.leg_slopes)): (-1,) * fan.ambient_dim}
+                check("off", dataclasses.replace(t, leg_slopes=off))
+            check("raw", random_raw_type(rng, fan))
+            smooth = random_smooth_fan(rng, rng.choice([2, 3]))
+            check("staircase", random_staircase_type(rng, smooth, max_vertices=6))
+        fails = "global balancing fails"
+        assert outcomes["drawn", "solved"] == outcomes["staircase", "solved"] == 90
+        assert outcomes["moved", fails] == 90
+        assert sum(n for (kind, _), n in outcomes.items() if kind == "off") >= 60
+        assert outcomes["raw", fails] >= 20
+
+    def test_leg_slope_outside_the_support(self):
+        """The first leg off the support, in vertex then leg order, is named,
+        before any balancing failure."""
+        q = quadrant()
+        t = CombinatorialType(
+            graph=DecoratedGraph(
+                ["a", "b"], [("a", "b")], [("b", 2), ("a", 3), ("b", 1)],
+                {"a": (5, 0), "b": (0, 0)},
+            ),
+            target=q,
+            vertex_cones={"a": ORIGIN, "b": ORIGIN},
+            edge_cones={("a", "b"): ORIGIN},
+            leg_cones=dict.fromkeys([1, 2, 3], ORIGIN),
+            leg_slopes={1: (-1, 0), 2: (0, -1), 3: (1, -1)},
+        )
+        assert self.assert_same(t, [None, "b"]) == "leg slope 3 lies outside the support"
+
+    def test_ambient_sum_balances_but_a_ray_does_not(self):
+        """On the golden fan the leg (1,1) has fan coordinate 1 on the ray
+        (1,1); degree 1 on each of (1,0) and (0,1) balances it as an ambient
+        vector but not ray by ray."""
+        fan = golden_fan()
+        d = [0] * len(fan.rays)
+        d[fan.rays.index((1, 0))] = d[fan.rays.index((0, 1))] = 1
+        t = CombinatorialType(
+            graph=DecoratedGraph(
+                ["v0", "v1"], [("v0", "v1")], [("v0", 1)],
+                {"v0": (0,) * len(fan.rays), "v1": d},
+            ),
+            target=fan,
+            vertex_cones={"v0": ORIGIN, "v1": ORIGIN},
+            edge_cones={("v0", "v1"): ORIGIN},
+            leg_cones={1: ORIGIN},
+            leg_slopes={1: (1, 1)},
+        )
+        first = min(fan.rays.index((1, 0)), fan.rays.index((0, 1)))
+        message = f"global balancing fails in ray direction {first}"
+        assert self.assert_same(t, [None, "v1"]) == message
 
 
 class TestValidate:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import product
 from math import factorial
@@ -13,7 +14,7 @@ from tropi.combtypes import (
     validate_type,
 )
 from tropi import enumeration
-from tropi.cones import ORIGIN, ComplexError
+from tropi.cones import ORIGIN, ComplexError, fan_coordinates
 from tropi.enumeration import (
     MAX_VERTICES,
     DegreeCatalogue,
@@ -317,6 +318,45 @@ class TestOrbitSearchAgainstReference:
         assert nonempty >= 12
 
 
+    def test_nontrivial_stabilisers(self, monkeypatch):
+        """Seeded fans where one tangency repeats and the catalogue holds the
+        zero atom and halves of the total, at most 3 vertices: equal atoms
+        sit on symmetric vertices, so decorations have non-trivial
+        stabilisers and the search emits candidates that repeat a code.
+
+        Fans with more than 8 cones are passed over, for the reference's
+        runtime.
+        """
+        emitted = []
+        monkeypatch.setattr(
+            enumeration,
+            "canonical_code",
+            lambda t, code=canonical_code: emitted.append(1) or code(t),
+        )
+        rng = random.Random(12)
+        compared = repeats = 0
+        while compared < 8:
+            fan = generators.random_complex(rng)
+            drawn = generators.random_lambda(rng, fan)
+            if len(list(fan.cones())) > 8 or drawn.n == 0:
+                continue
+            n = rng.randint(1, 2)
+            alpha = drawn.alphas[0]
+            coords = fan_coordinates(fan, alpha)
+            lam = NumericalData(n, [alpha] * n, [int(c) * n for c in coords])
+            total = lam.total_degree
+            half = tuple(x // 2 for x in total)
+            rest = tuple(a - b for a, b in zip(total, half))
+            cat = DegreeCatalogue([(0,) * len(total), half, rest, total], 3)
+            emitted.clear()
+            fast = [type_to_dict(t) for t in enumerate_types(fan, lam, cat)]
+            assert fast == reference_enumerate(fan, lam, cat)
+            assert fast
+            repeats += len(emitted) - len(fast)
+            compared += 1
+        assert repeats > 0
+
+
 class TestTreeShapes:
     @pytest.mark.parametrize("n", range(1, MAX_VERTICES + 1))
     def test_first_prufer_tree_of_each_shape(self, n):
@@ -346,6 +386,46 @@ class TestTreeShapes:
         assert len(_automorphisms(n, path)) == 2
         assert len(_automorphisms(n, star)) == factorial(n - 1)
         assert tuple(range(n)) in _automorphisms(n, path)
+
+
+class TestEmittedSlopes:
+    """Every emitted type carries solve_balancing's slopes, in its key order,
+    and passes validate_type."""
+
+    def assert_solved(self, types):
+        for t in types:
+            solved = solve_balancing(dataclasses.replace(t, edge_slopes=None))
+            assert list(solved.items()) == list(t.edge_slopes.items())
+            assert validate_type(t).valid
+
+    @pytest.mark.parametrize("max_vertices", [3, 4])
+    def test_golden(self, max_vertices):
+        cat = DegreeCatalogue(atoms=[(0, 0), (2, 2), (4, 4)], max_vertices=max_vertices)
+        types = enumerate_types(quadrant(), golden_lambda(), cat)
+        assert types
+        self.assert_solved(types)
+
+    def test_seeded_random_data(self):
+        rng = random.Random(8)
+        checked = emitted = 0
+        while checked < 12:
+            fan = generators.random_complex(rng)
+            lam = generators.random_lambda(rng, fan)
+            drawn = generators.random_catalogue(rng, len(fan.rays))
+            if len(list(fan.cones())) > 10 or lam.n > 3:
+                continue
+            total = lam.total_degree
+            half = tuple(x // 2 for x in total)
+            rest = tuple(a - b for a, b in zip(total, half))
+            for cat in (
+                DegreeCatalogue(drawn.atoms, min(drawn.max_vertices, 3)),
+                DegreeCatalogue([(0,) * len(total), total, half, rest], 3),
+            ):
+                types = enumerate_types(fan, lam, cat)
+                self.assert_solved(types)
+                emitted += len(types)
+            checked += 1
+        assert emitted >= 100
 
 
 class TestEdgeCases:
