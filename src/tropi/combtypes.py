@@ -18,13 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .cones import (
-    Cone,
-    ConeComplex,
-    _locate,
-    fan_coordinates,
-    minimal_containing_cone,
-)
+from .cones import ComplexError, Cone, ConeComplex, locate, minimal_containing_cone
 from .linalg import IntVector, is_zero, vec_neg
 
 Edge = tuple[str, str]
@@ -229,22 +223,38 @@ def ray_coefficient(
     The coefficient of the indicator piecewise-linear function; None when p
     is outside the support.
     """
-    coords = fan_coordinates(target, p)
-    return None if coords is None else coords[ray_id]
+    hit = locate(target, p)
+    if hit is None:
+        return None
+    ray_id = range(len(target.rays))[ray_id]  # indexed like a list of all rays
+    ids, nums, denom = hit
+    return Fraction(dict(zip(ids, nums)).get(ray_id, 0), denom)
 
 
-def _edge_coefficients(
+def _edge_numerators(
     t: CombinatorialType, e: Edge
-) -> Optional[dict[int, Fraction]]:
+) -> Optional[tuple[dict[int, int], int]]:
     """Coefficients of e's slope, oriented away from e[0], on the generators
-    of its cone, keyed by ray id; None when the slope is off their span."""
+    of its cone: numerators keyed by ray id, and their positive common
+    denominator; None when the slope is off their span."""
     m = t.slope_from(e[0], e)
     cone = t.edge_cones[e]
     kern = t.target.kernel(cone)
     nums = kern.numerators(m)
     if nums is None:
         return None
-    return {i: Fraction(x, kern.denom) for i, x in zip(sorted(cone), nums)}
+    return dict(zip(sorted(cone), nums)), kern.denom
+
+
+def _coordinate_sum(n_rays: int, located: Sequence[tuple]) -> tuple[list[int], int]:
+    """The summed fan coordinates of located points, as per-ray numerators
+    over the lcm of their denominators, and that lcm."""
+    den = lcm(*(d for _, _, d in located))
+    total = [0] * n_rays
+    for ids, nums, d in located:
+        for i, x in zip(ids, nums):
+            total[i] += x * (den // d)
+    return total, den
 
 
 def check_global_balancing(
@@ -257,9 +267,12 @@ def check_global_balancing(
     """
     if len(lam.total_degree) != len(target.rays):
         raise TypeProblem("degree vector does not match the target rays")
-    coords = [fan_coordinates(target, a) for a in lam.alphas]
-    for i in range(len(target.rays)):
-        if None in coords or sum(c[i] for c in coords) != lam.total_degree[i]:
+    located = [locate(target, a) for a in lam.alphas]
+    if None in located:
+        return 0 if target.rays else None
+    total, den = _coordinate_sum(len(target.rays), located)
+    for i, (x, d) in enumerate(zip(total, lam.total_degree)):
+        if x != den * d:
             return i
     return None
 
@@ -296,7 +309,7 @@ def solve_balancing(
     for v in g.vertices:
         vec = _ambient_degree(t.target, g.degrees[v])
         for j in g.legs_at(v):
-            hit = _locate(t.target, t.leg_slopes[j])
+            hit = locate(t.target, t.leg_slopes[j])
             if hit is None:
                 raise TypeProblem(f"leg slope {j} lies outside the support")
             located.append(hit)
@@ -307,15 +320,10 @@ def solve_balancing(
         m = net[w]  # w's whole subtree, leaving it toward v
         net[v] = [x + y for x, y in zip(net[v], m)]
         out[e] = tuple(m) if e[0] == w else vec_neg(m)  # away from e[0]
-    # per ray: total degree against the legs' fan coordinates, over the lcm
-    # of their denominators
-    den = lcm(*(d for _, _, d in located))
-    residual = [den * sum(col) for col in zip(*g.degrees.values())]
-    for ids, nums, d in located:
-        for i, x in zip(ids, nums):
-            residual[i] -= x * (den // d)
-    for i, r in enumerate(residual):
-        if r != 0:
+    # per ray: total degree against the legs' summed fan coordinates
+    total, den = _coordinate_sum(len(t.target.rays), located)
+    for i, (x, col) in enumerate(zip(total, zip(*g.degrees.values()))):
+        if x != den * sum(col):
             raise TypeProblem(f"global balancing fails in ray direction {i}")
     return out
 
@@ -373,19 +381,19 @@ def validate_type(t: CombinatorialType) -> ValidationReport:
 
         # support: slope lies in the span of the edge cone's generators
         all_ok, detail = True, ""
-        coefs = {e: _edge_coefficients(t, e) for e in g.edges}
-        for e, c in coefs.items():
-            if c is None:
+        reads = {e: _edge_numerators(t, e) for e in g.edges}
+        for e, read in reads.items():
+            if read is None:
                 all_ok, detail = False, f"edge {e} slope not supported on its cone"
         add("slope-support", all_ok, detail)
 
-        # positivity on new directions, per flag
+        # positivity on new directions, per flag (denominators are positive)
         all_ok, detail = True, ""
-        for e, coef in coefs.items():
+        for e, read in reads.items():
             for v in e:
                 sign = 1 if v == e[0] else -1
                 for i in t.edge_cones[e] - t.vertex_cones[v]:
-                    if coef is None or sign * coef[i] <= 0:
+                    if read is None or sign * read[0][i] <= 0:
                         all_ok = False
                         detail = f"flag ({v},{e}) not positive on new direction {i}"
         add("positivity", all_ok, detail)
@@ -405,20 +413,23 @@ def check_gathmann(t: CombinatorialType) -> bool:
     if t.edge_slopes is None:
         raise TypeProblem("edge slopes must be solved before this check")
     g = t.graph
-    leg_coords = {j: fan_coordinates(t.target, m) for j, m in t.leg_slopes.items()}
-    coefs: dict[Edge, Optional[dict[int, Fraction]]] = {}
+    legs = {}  # marking -> (numerators by ray id, denominator), or None
+    for j, m in t.leg_slopes.items():
+        hit = locate(t.target, m)
+        legs[j] = None if hit is None else (dict(zip(hit[0], hit[1])), hit[2])
+    reads: dict[Edge, Optional[tuple[dict[int, int], int]]] = {}
 
-    def coefficient(v: str, e: Edge, i: int) -> Optional[Fraction]:
-        """Coefficient on ray i of e's slope oriented away from v.  Each edge
-        is read on first use, so an early False still comes before a read
-        that would raise on a malformed cone."""
-        if e not in coefs:
-            coefs[e] = _edge_coefficients(t, e)
-        coef = coefs[e]
-        if coef is None:
+    def coefficient(v: str, e: Edge, i: int) -> Optional[tuple[int, int]]:
+        """Numerator and denominator on ray i of e's slope oriented away
+        from v.  Each edge is read on first use, so an early False still
+        comes before a read that would raise on a malformed cone."""
+        if e not in reads:
+            reads[e] = _edge_numerators(t, e)
+        read = reads[e]
+        if read is None:
             return None
-        c = coef.get(i, Fraction(0))
-        return c if v == e[0] else -c
+        x = read[0].get(i, 0)
+        return (x if v == e[0] else -x), read[1]
 
     for i in range(len(t.target.rays)):
         inside = {v for v in g.vertices if i in t.vertex_cones[v]}
@@ -428,9 +439,9 @@ def check_gathmann(t: CombinatorialType) -> bool:
                 c = coefficient(v, e, i)
                 if c is None:
                     return False
-                if c != 0:
+                if c[0] != 0:
                     other = e[0] if e[1] == v else e[1]
-                    if other not in inside or c < 0:
+                    if other not in inside or c[0] < 0:
                         return False
         # component sums on the inside subgraph
         seen: set[str] = set()
@@ -446,13 +457,13 @@ def check_gathmann(t: CombinatorialType) -> bool:
                         comp.add(w)
                         frontier.append(w)
             seen |= comp
-            total = Fraction(0)
+            terms = []  # (numerator, denominator) summing to the total
             for v in comp:
-                total += t.graph.degrees[v][i]
+                terms.append((t.graph.degrees[v][i], 1))
                 for j in g.legs_at(v):
-                    if leg_coords[j] is None:
+                    if legs[j] is None:
                         return False
-                    total -= leg_coords[j][i]
+                    terms.append((-legs[j][0].get(i, 0), legs[j][1]))
                 for e in g.incident_edges(v):
                     other = e[0] if e[1] == v else e[1]
                     if other in comp:
@@ -460,8 +471,9 @@ def check_gathmann(t: CombinatorialType) -> bool:
                     c = coefficient(other, e, i)  # oriented into the component
                     if c is None:
                         return False
-                    total += c
-            if total != 0:
+                    terms.append(c)
+            den = lcm(*(d for _, d in terms))
+            if sum(x * (den // d) for x, d in terms) != 0:
                 return False
     return True
 
@@ -504,19 +516,19 @@ def _push_degree(
     coordinates of its primitive generator.
     """
     base, refined = sub.base, sub.refined
-    out = [Fraction(0)] * len(base.rays)
+    located = []
     for rid, deg in enumerate(d):
         if deg == 0:
             continue
-        coords = fan_coordinates(base, refined.rays[rid])
-        if coords is None:
+        hit = locate(base, refined.rays[rid])
+        if hit is None:
             raise TypeProblem("refined ray outside the base support")
-        for i, c in enumerate(coords):
-            out[i] += deg * c
-    for x in out:
-        if x.denominator != 1:
-            raise TypeProblem("pushforward degree is not integral")
-    return tuple(int(x) for x in out)
+        ids, nums, den = hit
+        located.append((ids, [deg * x for x in nums], den))
+    total, den = _coordinate_sum(len(base.rays), located)
+    if any(x % den for x in total):
+        raise TypeProblem("pushforward degree is not integral")
+    return tuple(x // den for x in total)
 
 
 def pushforward_type(sub, t: CombinatorialType) -> CombinatorialType:
@@ -614,7 +626,6 @@ def lift_numerical_data(sub, lam: NumericalData) -> NumericalData:
     the blown-up cone; degrees against rays generating that cone drop by
     d_E, other degrees are unchanged.
     """
-    from .cones import PLFunction, evaluate_pl
     from .linalg import is_unimodular
 
     base, refined = sub.base, sub.refined
@@ -634,11 +645,15 @@ def lift_numerical_data(sub, lam: NumericalData) -> NumericalData:
     if len(lam.total_degree) != len(base.rays):
         raise TypeProblem("degree vector does not match the base rays")
 
-    exc_values = [Fraction(int(i == e_id)) for i in range(len(refined.rays))]
-    p_exc = PLFunction(refined, exc_values)
-    # integral: the refined complex is smooth, so lattice points have
-    # integer coordinates
-    d_e = int(sum((evaluate_pl(p_exc, a) for a in lam.alphas), Fraction(0)))
+    d_e = 0
+    for a in lam.alphas:
+        hit = locate(refined, a)
+        if hit is None:
+            raise ComplexError(f"point {tuple(a)} outside the support")
+        # integral: the refined complex is smooth, so lattice points have
+        # integer coordinates
+        ids, nums, den = hit
+        d_e += dict(zip(ids, nums)).get(e_id, 0) // den
 
     center_base_ids = set(center)
     new_degree = []

@@ -60,10 +60,6 @@ class ConeKernel:
                 return None
         return tuple(sum(map(mul, row, p)) for row in self.dual)
 
-    def functionals(self) -> list[QVector]:
-        """The barycentric functionals (U U^T)^-1 U, one row per generator."""
-        return [tuple(Fraction(x, self.denom) for x in row) for row in self.dual]
-
 
 @lru_cache(maxsize=1 << 16)
 def cone_kernel(gens: tuple[IntVector, ...], ambient_dim: int) -> ConeKernel:
@@ -232,9 +228,12 @@ class ConeComplex:
         return tuple(sum(g[r] for g in gens) for r in range(self.ambient_dim))
 
 
-def _locate(c: ConeComplex, p: Sequence) -> Optional[tuple]:
+def locate(c: ConeComplex, p: Sequence) -> Optional[tuple]:
     """(ray ids, coordinate numerators, denominator) of p over the first
-    maximal cone containing it, or None outside the support."""
+    maximal cone containing it, or None outside the support.
+
+    These are p's fan coordinates: ray ids[i] has coefficient
+    numerators[i] / denominator, and every other ray has 0."""
     for ids, kern in zip(c.max_cones, c.max_kernels.values()):
         nums = kern.numerators(p)
         if nums is not None and all(x >= 0 for x in nums):
@@ -244,24 +243,11 @@ def _locate(c: ConeComplex, p: Sequence) -> Optional[tuple]:
 
 def minimal_containing_cone(c: ConeComplex, p: Sequence) -> Optional[Cone]:
     """The unique cone whose relative interior contains p, or None."""
-    hit = _locate(c, p)
+    hit = locate(c, p)
     if hit is None:
         return None
     ids, nums, _ = hit
     return frozenset(i for i, x in zip(ids, nums) if x > 0)
-
-
-def fan_coordinates(c: ConeComplex, p: Sequence) -> Optional[QVector]:
-    """Coefficient of every ray in p's fan coordinates, or None outside the
-    support.  Rays off the minimal cone containing p get 0."""
-    hit = _locate(c, p)
-    if hit is None:
-        return None
-    ids, nums, denom = hit
-    out = [Fraction(0)] * len(c.rays)
-    for i, x in zip(ids, nums):
-        out[i] = Fraction(x, denom)
-    return tuple(out)
 
 
 def build_snc_tropicalization(
@@ -310,10 +296,11 @@ class PLFunction:
 
 
 def evaluate_pl(f: PLFunction, p: Sequence) -> Fraction:
-    coords = fan_coordinates(f.complex, p)
-    if coords is None:
+    hit = locate(f.complex, p)
+    if hit is None:
         raise ComplexError(f"point {tuple(p)} outside the support")
-    return sum((lam * v for lam, v in zip(coords, f.ray_values)), Fraction(0))
+    ids, nums, denom = hit
+    return sum((x * f.ray_values[i] for i, x in zip(ids, nums)), Fraction(0)) / denom
 
 
 # -- coordinate projections ---------------------------------------------

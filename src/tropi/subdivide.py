@@ -10,30 +10,27 @@ from the lexicographically smallest extreme ray (pulling triangulation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, product
-from math import lcm
 from typing import Iterable, Sequence
 
 from .cones import (
     ComplexError,
     Cone,
     ConeComplex,
-    angular_sorted,
     cone_kernel,
     coordinate_projection,
     minimal_containing_cone,
 )
-from .feasibility import LinearSystem, fm_feasible
+from .feasibility import LinearSystem, _normalize, fm_feasible
 from .linalg import (
     IntVector,
-    QVector,
     _smith_reduce,
+    det,
     is_zero,
     lattice_index,
     mat_rank,
     primitive,
-    solve_rational_system,
     vec_dot,
 )
 
@@ -126,28 +123,21 @@ def stellar(c: ConeComplex, sigma: Cone) -> Subdivision:
 
 def halfspace_description(
     gens: Sequence[IntVector],
-) -> tuple[list[QVector], list[IntVector]]:
+) -> tuple[list[IntVector], list[IntVector]]:
     """(inequality rows, equality rows) cutting out the simplicial cone.
 
-    Inequality rows are the barycentric functionals Lambda = (U U^T)^{-1} U,
-    exactly; equality rows are independent integer rows vanishing exactly
-    on the span.
+    Inequality rows are the integer rows adj(U U^T) U, det(U U^T) > 0 times
+    the barycentric functionals (U U^T)^{-1} U; equality rows are
+    independent integer rows vanishing exactly on the span.
     """
     if not gens:
         return [], []
     kern = cone_kernel(tuple(gens), len(gens[0]))
-    return kern.functionals(), list(kern.eqs)
-
-
-def _rational_primitive(v: Sequence[Fraction]) -> IntVector:
-    denom = 1
-    for x in v:
-        denom = lcm(denom, x.denominator)
-    return primitive(tuple(int(x * denom) for x in v))
+    return list(kern.dual), list(kern.eqs)
 
 
 def _slice_rays(
-    rays: list[IntVector], h: Sequence, side: int
+    rays: list[IntVector], h: IntVector, side: int
 ) -> list[IntVector]:
     """Extreme-ray candidates of cone(rays) cut by h >= 0 / <= 0 / = 0."""
     vals = {r: vec_dot(h, r) for r in rays}
@@ -163,8 +153,7 @@ def _slice_rays(
         if (va > 0 and vb < 0) or (va < 0 and vb > 0):
             if va < 0:
                 (a, va), (b, vb) = (b, vb), (a, va)
-            cut = tuple(va * y - vb * x for x, y in zip(a, b))
-            cut = _rational_primitive([Fraction(x) for x in cut])
+            cut = primitive(tuple(va * y - vb * x for x, y in zip(a, b)))
             if cut not in out:
                 out.append(cut)
     return out
@@ -211,59 +200,46 @@ def intersect_simplicial(
     return extreme_filter(rays)
 
 
-def _positive_functional(rays: Sequence[IntVector]) -> QVector:
-    """A functional strictly positive on every given ray."""
-    k = len(rays[0])
-    sys = LinearSystem(k)
-    for r in rays:
-        sys.add_ge(r, 1)
-    h = fm_feasible(sys)
-    if h is None:
-        raise ComplexError("cone is not pointed")
-    return h
-
-
 def triangulate_cone(rays: list[IntVector]) -> list[tuple[IntVector, ...]]:
     """Split a pointed cone (given by extreme rays) into simplicial cones.
 
-    Simplicial input passes through; otherwise the cross-section polygon is
-    fanned out from the lexicographically smallest extreme ray.  Cones of
-    dimension 4 and above with non-simplicial shape are out of scope.
+    Simplicial input passes through; otherwise the rays are put in cyclic
+    order around the interior axis a = sum of the rays, by the sign of
+    det(a, u, v) on three coordinates onto which the span projects
+    isomorphically, and fanned out from the lexicographically smallest ray.
+    Cones of dimension 4 and above with non-simplicial shape are out of scope.
     """
     rays = sorted(set(rays))
     if not rays:
         return []
-    if mat_rank(rays) == len(rays):
+    rank = mat_rank(rays)
+    if rank == len(rays):
         return [tuple(rays)]
-    if mat_rank(rays) > 3:
+    if rank > 3:
         raise ComplexError("non-simplicial cones above dimension 3 unsupported")
-    h = _positive_functional(rays)
-    pts = {r: tuple(Fraction(x) / vec_dot(h, r) for x in r) for r in rays}
-    centroid = tuple(
-        sum(pts[r][i] for r in rays) / len(rays) for i in range(len(h))
-    )
-    diffs = {r: tuple(a - b for a, b in zip(pts[r], centroid)) for r in rays}
-    basis: list[QVector] = []
-    for r in rays:
-        if mat_rank(basis + [diffs[r]]) == len(basis) + 1:
-            basis.append(diffs[r])
-        if len(basis) == 2:
-            break
-    if len(basis) != 2:
+    if rank < 3:
         raise ComplexError(f"rays {rays} are not extreme in a 3-dimensional cone")
-    matrix = [[basis[0][i], basis[1][i]] for i in range(len(h))]
-    plane: dict[IntVector, tuple[Fraction, Fraction]] = {}
-    for r in rays:
-        sol = solve_rational_system(matrix, list(diffs[r]))
-        if sol is None:
-            raise ComplexError(f"ray {r} is off the cross-section plane")
-        plane[r] = (sol.vector[0], sol.vector[1])
+    coords = next(
+        c
+        for c in combinations(range(len(rays[0])), 3)
+        if mat_rank([[r[i] for i in c] for r in rays]) == 3
+    )
+    proj = {r: [r[i] for i in coords] for r in rays}
+    axis = [sum(col) for col in zip(*proj.values())]
+    apex = rays[0]
 
-    cyc = angular_sorted(rays, plane.__getitem__)
-    start = cyc.index(min(cyc))
-    cyc = cyc[start:] + cyc[:start]
-    apex = cyc[0]
-    return [(apex, a, b) for a, b in zip(cyc[1:], cyc[2:])]
+    def turn(u, v) -> int:
+        """Sign of det(a, u, v): 1 when v lies less than a half-turn after u."""
+        d = det([axis, proj[u], proj[v]])
+        return (d > 0) - (d < 0)
+
+    def cmp(u, v) -> int:
+        # by half-turn from the apex, (0, pi) before pi before (pi, 2 pi),
+        # then by turn within it
+        return turn(apex, v) - turn(apex, u) or turn(v, u)
+
+    cyc = sorted(rays[1:], key=cmp_to_key(cmp))
+    return [(apex, a, b) for a, b in zip(cyc, cyc[1:])]
 
 
 def _assemble(ambient_dim: int, pieces: list[tuple[IntVector, ...]]) -> ConeComplex:
@@ -278,6 +254,7 @@ def _assemble(ambient_dim: int, pieces: list[tuple[IntVector, ...]]) -> ConeComp
 
 def slice_by_hyperplane(c: ConeComplex, h: Sequence) -> ConeComplex:
     """Refine so that every cone lies on one closed side of h . x = 0."""
+    h, _ = _normalize(h, 0)  # integer entries, same hyperplane and sides
     pieces: list[tuple[IntVector, ...]] = []
     for mc in c.max_cones:
         gens = c.generators(frozenset(mc))

@@ -1,16 +1,26 @@
 import collections
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from tropi.cones import ORIGIN, ConeComplex, fan_coordinates, minimal_containing_cone
+from tropi.cones import (
+    ORIGIN,
+    ComplexError,
+    ConeComplex,
+    PLFunction,
+    evaluate_pl,
+    locate,
+    minimal_containing_cone,
+)
 from tropi.combtypes import (
     CombinatorialType,
     DecoratedGraph,
     NumericalData,
     TypeProblem,
+    _push_degree,
     check_gathmann,
     check_global_balancing,
     collect_sensitive_slopes,
@@ -20,12 +30,21 @@ from tropi.combtypes import (
     solve_balancing,
     validate_type,
 )
+from tropi.enumeration import DegreeCatalogue, enumerate_types
 from tropi.linalg import is_zero, primitive, solve_rational_system, vec_dot
-from tropi.subdivide import compose, identity_subdivision, stellar, stellar_at_point
+from tropi.subdivide import (
+    Subdivision,
+    compose,
+    identity_subdivision,
+    resolve_smooth,
+    stellar,
+    stellar_at_point,
+)
 
 from fixtures import E1, E2, deg, golden_graph, golden_lambda, golden_type, quadrant
 from generators import (
     random_complex,
+    random_cone,
     random_lambda,
     random_raw_type,
     random_smooth_fan,
@@ -218,6 +237,128 @@ class TestBalancing:
             assert sol is not None
             for e, val in zip(edges, sol.vector):
                 assert Fraction(slopes[e][coord]) == val
+
+
+# -- the Fraction readers that the integer ones replaced, as references -------
+
+
+def fan_coordinates(c, p):
+    """Coefficient of every ray in p's fan coordinates, or None outside the
+    support.  Rays off the minimal cone containing p get 0."""
+    hit = locate(c, p)
+    if hit is None:
+        return None
+    ids, nums, denom = hit
+    out = [Fraction(0)] * len(c.rays)
+    for i, x in zip(ids, nums):
+        out[i] = Fraction(x, denom)
+    return tuple(out)
+
+
+def _edge_coefficients(t, e):
+    """Coefficients of e's slope, oriented away from e[0], on the generators
+    of its cone, keyed by ray id; None when the slope is off their span."""
+    m = t.slope_from(e[0], e)
+    cone = t.edge_cones[e]
+    kern = t.target.kernel(cone)
+    nums = kern.numerators(m)
+    if nums is None:
+        return None
+    return {i: Fraction(x, kern.denom) for i, x in zip(sorted(cone), nums)}
+
+
+def reference_check_global_balancing(target, lam):
+    if len(lam.total_degree) != len(target.rays):
+        raise TypeProblem("degree vector does not match the target rays")
+    coords = [fan_coordinates(target, a) for a in lam.alphas]
+    for i in range(len(target.rays)):
+        if None in coords or sum(c[i] for c in coords) != lam.total_degree[i]:
+            return i
+    return None
+
+
+def reference_check_gathmann(t):
+    if t.edge_slopes is None:
+        raise TypeProblem("edge slopes must be solved before this check")
+    g = t.graph
+    leg_coords = {j: fan_coordinates(t.target, m) for j, m in t.leg_slopes.items()}
+    coefs = {}
+
+    def coefficient(v, e, i):
+        if e not in coefs:
+            coefs[e] = _edge_coefficients(t, e)
+        coef = coefs[e]
+        if coef is None:
+            return None
+        c = coef.get(i, Fraction(0))
+        return c if v == e[0] else -c
+
+    for i in range(len(t.target.rays)):
+        inside = {v for v in g.vertices if i in t.vertex_cones[v]}
+        for v in (v for v in g.vertices if v not in inside):
+            for e in g.incident_edges(v):
+                c = coefficient(v, e, i)
+                if c is None:
+                    return False
+                if c != 0:
+                    other = e[0] if e[1] == v else e[1]
+                    if other not in inside or c < 0:
+                        return False
+        seen = set()
+        for start in [v for v in g.vertices if v in inside]:
+            if start in seen:
+                continue
+            comp = {start}
+            frontier = [start]
+            while frontier:
+                v = frontier.pop()
+                for w in g.neighbors(v):
+                    if w in inside and w not in comp:
+                        comp.add(w)
+                        frontier.append(w)
+            seen |= comp
+            total = Fraction(0)
+            for v in comp:
+                total += t.graph.degrees[v][i]
+                for j in g.legs_at(v):
+                    if leg_coords[j] is None:
+                        return False
+                    total -= leg_coords[j][i]
+                for e in g.incident_edges(v):
+                    other = e[0] if e[1] == v else e[1]
+                    if other in comp:
+                        continue
+                    c = coefficient(other, e, i)
+                    if c is None:
+                        return False
+                    total += c
+            if total != 0:
+                return False
+    return True
+
+
+def reference_push_degree(sub, d):
+    base, refined = sub.base, sub.refined
+    out = [Fraction(0)] * len(base.rays)
+    for rid, deg in enumerate(d):
+        if deg == 0:
+            continue
+        coords = fan_coordinates(base, refined.rays[rid])
+        if coords is None:
+            raise TypeProblem("refined ray outside the base support")
+        for i, c in enumerate(coords):
+            out[i] += deg * c
+    for x in out:
+        if x.denominator != 1:
+            raise TypeProblem("pushforward degree is not integral")
+    return tuple(int(x) for x in out)
+
+
+def reference_evaluate_pl(f, p):
+    coords = fan_coordinates(f.complex, p)
+    if coords is None:
+        raise ComplexError(f"point {tuple(p)} outside the support")
+    return sum((lam * v for lam, v in zip(coords, f.ray_values)), Fraction(0))
 
 
 def golden_fan():
@@ -685,3 +826,165 @@ class TestGlobalBalancing:
         q = quadrant()
         lam = NumericalData(1, [(1, 0)], deg(q, **{str((1, 0)): 2}))
         assert check_global_balancing(q, lam) is not None
+
+
+def non_unimodular_fans():
+    """Three fans whose maximal-cone kernels have denominators 4, 9 and 16,
+    so lattice points can have fractional fan coordinates; the faces of the
+    3D cone add denominators 5 and 6."""
+    return [
+        ConeComplex(2, [(0, 1), (1, 0), (1, 2)], [{0, 2}, {1, 2}]),
+        ConeComplex(2, [(-1, 1), (1, 0), (1, 3)], [{0, 2}, {1, 2}]),
+        ConeComplex(3, [(1, 0, 0), (0, 1, 0), (1, 1, 2)], [{0, 1, 2}]),
+    ]
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (TypeProblem, ComplexError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def box_points(fan, lo=-1, hi=3):
+    box = itertools.product(range(lo, hi + 1), repeat=fan.ambient_dim)
+    return [p for p in box if any(p)]
+
+
+def fractional(fan, p):
+    """True iff p lies in the support with a fractional fan coordinate."""
+    coords = fan_coordinates(fan, p)
+    return coords is not None and any(c.denominator > 1 for c in coords)
+
+
+def enumerated_types(rng, fan, n_lambdas):
+    """Types that enumerate_types emits for seeded data on fan: tangencies
+    from a small box, at least one with fractional fan coordinates, whose
+    coordinates sum to integers."""
+    support = [p for p in box_points(fan) if locate(fan, p)]
+    assert any(fractional(fan, p) for p in support)
+    for _ in range(n_lambdas):
+        while True:
+            alphas = [rng.choice(support) for _ in range(rng.randint(1, 3))]
+            total = [sum(c) for c in zip(*(fan_coordinates(fan, a) for a in alphas))]
+            if all(x.denominator == 1 for x in total) and any(
+                fractional(fan, a) for a in alphas
+            ):
+                break
+        total = [int(x) for x in total]
+        atoms = {(0,) * len(total), tuple(total)}
+        atoms |= {tuple(rng.randint(0, x) for x in total) for _ in range(2)}
+        lam = NumericalData(len(alphas), alphas, total)
+        yield from enumerate_types(fan, lam, DegreeCatalogue(sorted(atoms), 3))
+
+
+class TestFractionalCoordinatesAgainstReference:
+    """On fans with non-unimodular cones the integer readers give the values
+    of the Fraction readers they replaced, or raise their errors."""
+
+    def test_check_gathmann(self):
+        rng = random.Random(71)
+        results = collections.Counter()
+        for fan in non_unimodular_fans():
+            for t in enumerated_types(rng, fan, 2):
+                # as emitted; one degree unit moved between two vertices and
+                # re-solved; one vertex cone redrawn
+                variants = [t]
+                a, b = rng.choice(t.graph.vertices), rng.choice(t.graph.vertices)
+                i = rng.randrange(len(fan.rays))
+                degrees = {v: list(d) for v, d in t.graph.degrees.items()}
+                degrees[a][i] += 1
+                degrees[b][i] -= 1
+                g = DecoratedGraph(t.graph.vertices, t.graph.edges, t.graph.legs, degrees)
+                moved = dataclasses.replace(t, graph=g)
+                variants.append(moved.with_slopes(solve_balancing(moved)))
+                cones = {**t.vertex_cones, a: random_cone(rng, fan)}
+                variants.append(dataclasses.replace(t, vertex_cones=cones))
+                for u in variants:
+                    got = outcome(check_gathmann, u)
+                    assert got == outcome(reference_check_gathmann, u)
+                    results["enumerated", got] += 1
+                results["fractional edges"] += any(
+                    c.denominator > 1
+                    for e in t.graph.edges
+                    for c in (_edge_coefficients(t, e) or {}).values()
+                )
+            for _ in range(300):
+                t = random_raw_type(rng, fan)
+                if t.edge_slopes is None:
+                    k = fan.ambient_dim
+                    t = t.with_slopes(
+                        {e: tuple(rng.randint(-3, 3) for _ in range(k)) for e in t.graph.edges}
+                    )
+                got = outcome(check_gathmann, t)
+                assert got == outcome(reference_check_gathmann, t)
+                results["raw", got] += 1
+                results["fractional legs"] += any(
+                    fractional(fan, m) for m in t.leg_slopes.values()
+                )
+        assert results["enumerated", True] >= 1000
+        assert results["enumerated", False] >= 300
+        assert results["raw", True] >= 5 and results["raw", False] >= 500
+        assert results["fractional legs"] >= 100
+        assert results["fractional edges"] >= 100
+
+    def test_check_global_balancing(self):
+        rng = random.Random(72)
+        results = collections.Counter()
+        for fan in non_unimodular_fans():
+            points = box_points(fan)
+            for _ in range(300):
+                alphas = [rng.choice(points) for _ in range(rng.randint(0, 4))]
+                coords = [fan_coordinates(fan, a) for a in alphas]
+                if None in coords:
+                    total = [rng.randint(0, 3) for _ in fan.rays]
+                else:  # the sums rounded down, one entry perhaps moved by one
+                    total = [int(sum(c)) for c in zip(*coords)] or [0] * len(fan.rays)
+                    total[rng.randrange(len(total))] += rng.choice([0, 0, 1, -1])
+                lam = NumericalData(len(alphas), alphas, total)
+                got = outcome(check_global_balancing, fan, lam)
+                assert got == outcome(reference_check_global_balancing, fan, lam)
+                results[got is None] += 1
+            wrong_length = NumericalData(1, [(1,) * fan.ambient_dim], [0])
+            assert outcome(check_global_balancing, fan, wrong_length) == outcome(
+                reference_check_global_balancing, fan, wrong_length
+            )
+        assert results[True] >= 100 and results[False] >= 500
+
+    def test_push_degree(self):
+        rng = random.Random(73)
+        results = collections.Counter()
+        for fan in non_unimodular_fans():
+            subs = [resolve_smooth(fan)]
+            for p in rng.sample([p for p in box_points(fan) if fractional(fan, p)], 3):
+                subs.append(stellar_at_point(fan, p))
+            # a "refinement" with a ray outside the base support
+            outside = ConeComplex(fan.ambient_dim, [(-1,) * fan.ambient_dim], [{0}])
+            subs.append(Subdivision(fan, outside, {}))
+            for sub in subs:
+                for _ in range(40):
+                    d = [rng.randint(-2, 2) for _ in sub.refined.rays]
+                    got = outcome(_push_degree, sub, d)
+                    assert got == outcome(reference_push_degree, sub, d)
+                    results[got[1] if isinstance(got[0], str) else "pushed"] += 1
+        assert results["pushed"] >= 150
+        assert results["pushforward degree is not integral"] >= 150
+        assert results["refined ray outside the base support"] >= 50
+
+    def test_evaluate_pl(self):
+        rng = random.Random(74)
+        outside = 0
+        for fan in non_unimodular_fans():
+            values = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in fan.rays]
+            f = PLFunction(fan, values)
+            points = box_points(fan)
+            points += [tuple(Fraction(x, 3) for x in p) for p in points[::5]]
+            for p in points:
+                got = outcome(evaluate_pl, f, p)
+                assert got == outcome(reference_evaluate_pl, f, p)
+                if isinstance(got, tuple):
+                    outside += 1
+                else:
+                    assert type(got) is Fraction
+        assert outside >= 50

@@ -16,6 +16,7 @@ from tropi.cones import (
     minimal_containing_cone,
 )
 from tropi.linalg import (
+    det,
     is_unimodular,
     mat_rank,
     primitive,
@@ -299,7 +300,10 @@ class TestConeKernel:
             )
             for r in range(k)
         ]
-        assert lam == old_lam
+        # the integer rows are det(U U^T) times the old Fraction rows
+        scale = det(gram)
+        assert all(type(x) is int for row in lam for x in row)
+        assert lam == [tuple(scale * x for x in row) for row in old_lam]
         denom = cone_kernel(tuple(gens), k).denom
         for e in eqs:
             assert tuple(Fraction(x, denom) for x in e) in old_eqs

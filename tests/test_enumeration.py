@@ -10,11 +10,12 @@ from tropi.combtypes import (
     NumericalData,
     TypeProblem,
     check_gathmann,
+    ray_coefficient,
     solve_balancing,
     validate_type,
 )
 from tropi import enumeration
-from tropi.cones import ORIGIN, ComplexError, fan_coordinates
+from tropi.cones import ORIGIN, ComplexError
 from tropi.enumeration import (
     MAX_VERTICES,
     DegreeCatalogue,
@@ -342,7 +343,7 @@ class TestOrbitSearchAgainstReference:
                 continue
             n = rng.randint(1, 2)
             alpha = drawn.alphas[0]
-            coords = fan_coordinates(fan, alpha)
+            coords = [ray_coefficient(fan, i, alpha) for i in range(len(fan.rays))]
             lam = NumericalData(n, [alpha] * n, [int(c) * n for c in coords])
             total = lam.total_degree
             half = tuple(x // 2 for x in total)

@@ -187,6 +187,11 @@ class TestSmoothableLP:
             assert (smoothable_lp(t) is not None) == smoothable_simplex(t)
 
 
+def _functionals(kern):
+    """The barycentric functionals (U U^T)^-1 U, one row per generator."""
+    return [tuple(Fraction(x, kern.denom) for x in row) for row in kern.dual]
+
+
 def _fraction_system(t):
     """(n, eqs, ineqs) of the smoothing system as it was built over
     Fractions: barycentric functionals, each strict inequality as >= 1."""
@@ -214,9 +219,9 @@ def _fraction_system(t):
     for v in g.vertices:
         kern = t.target.kernel(t.vertex_cones[v])
         eqs += [(position_row(f, paths[v]), 0) for f in kern.eqs]
-        ineqs += [(position_row(f, paths[v]), 1) for f in kern.functionals()]
+        ineqs += [(position_row(f, paths[v]), 1) for f in _functionals(kern)]
     for a, b in g.edges:
-        for f in t.target.kernel(t.edge_cones[(a, b)]).functionals():
+        for f in _functionals(t.target.kernel(t.edge_cones[(a, b)])):
             row_a, row_b = position_row(f, paths[a]), position_row(f, paths[b])
             ineqs.append(([x + y for x, y in zip(row_a, row_b)], 1))
     return n, eqs, ineqs

@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,9 +9,11 @@ from tropi.cones import (
     ORIGIN,
     ComplexError,
     ConeComplex,
+    angular_sorted,
     build_snc_tropicalization,
     minimal_containing_cone,
 )
+from tropi.feasibility import LinearSystem, fm_feasible
 from tropi.linalg import (
     LinAlgError,
     det,
@@ -18,6 +21,8 @@ from tropi.linalg import (
     lattice_index,
     mat_rank,
     primitive,
+    solve_rational_system,
+    vec_dot,
 )
 from generators import random_complex
 from tropi.subdivide import (
@@ -209,6 +214,105 @@ class TestTriangulate:
         assert all(lex_min in p for p in pieces)
 
 
+def _positive_functional(rays):
+    """A functional strictly positive on every given ray."""
+    k = len(rays[0])
+    sys = LinearSystem(k)
+    for r in rays:
+        sys.add_ge(r, 1)
+    h = fm_feasible(sys)
+    if h is None:
+        raise ComplexError("cone is not pointed")
+    return h
+
+
+def reference_triangulate_cone(rays):
+    """The triangulation as it was: the cross-section polygon at a positive
+    functional, in Fraction plane coordinates, sorted by angle and fanned
+    out from the lexicographically smallest ray."""
+    rays = sorted(set(rays))
+    if not rays:
+        return []
+    if mat_rank(rays) == len(rays):
+        return [tuple(rays)]
+    if mat_rank(rays) > 3:
+        raise ComplexError("non-simplicial cones above dimension 3 unsupported")
+    h = _positive_functional(rays)
+    pts = {r: tuple(Fraction(x) / vec_dot(h, r) for x in r) for r in rays}
+    centroid = tuple(
+        sum(pts[r][i] for r in rays) / len(rays) for i in range(len(h))
+    )
+    diffs = {r: tuple(a - b for a, b in zip(pts[r], centroid)) for r in rays}
+    basis = []
+    for r in rays:
+        if mat_rank(basis + [diffs[r]]) == len(basis) + 1:
+            basis.append(diffs[r])
+        if len(basis) == 2:
+            break
+    if len(basis) != 2:
+        raise ComplexError(f"rays {rays} are not extreme in a 3-dimensional cone")
+    matrix = [[basis[0][i], basis[1][i]] for i in range(len(h))]
+    plane = {}
+    for r in rays:
+        sol = solve_rational_system(matrix, list(diffs[r]))
+        if sol is None:
+            raise ComplexError(f"ray {r} is off the cross-section plane")
+        plane[r] = (sol.vector[0], sol.vector[1])
+
+    cyc = angular_sorted(rays, plane.__getitem__)
+    start = cyc.index(min(cyc))
+    cyc = cyc[start:] + cyc[:start]
+    apex = cyc[0]
+    return [(apex, a, b) for a, b in zip(cyc[1:], cyc[2:])]
+
+
+def _simplices(triangulate, rays):
+    """The triangulation as a set of ray sets, or the error message."""
+    try:
+        return {frozenset(piece) for piece in triangulate(rays)}
+    except ComplexError as exc:
+        return str(exc)
+
+
+class TestTriangulateAgainstReference:
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_sliced_pieces(self, k):
+        """Pieces that _slice_rays cuts from seeded simplicial cones, on all
+        three sides of a seeded hyperplane, triangulate into the same
+        simplices or fail with the same error.  A two-ray piece with the
+        sum of its rays added is a non-extreme input."""
+        rng = random.Random(80 + k)
+        results = collections.Counter()
+        drawn = 0
+        while drawn < 600:
+            g = rng.randint(2, k)
+            gens = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(g)]
+            if not all(map(any, gens)) or mat_rank(gens) < g:
+                continue
+            gens = sorted({primitive(u) for u in gens})
+            if len(gens) < g:
+                continue
+            h = tuple(rng.randint(-3, 3) for _ in range(k))
+            for side in (1, 0, -1):
+                pieces = [_slice_rays(gens, h, side)]
+                if len(pieces[0]) == 2:
+                    middle = primitive(tuple(map(sum, zip(*pieces[0]))))
+                    pieces.append(pieces[0] + [middle])
+                for piece in pieces:
+                    got = _simplices(triangulate_cone, piece)
+                    assert got == _simplices(reference_triangulate_cone, piece)
+                    if isinstance(got, str):
+                        results[got.split()[-1]] += 1
+                    else:
+                        results[len(got) > 1] += 1
+            drawn += 1
+        assert results[True] >= 120  # non-simplicial pieces triangulated
+        assert results[False] >= 800
+        assert results["cone"] >= 250  # "... not extreme in a 3-dimensional cone"
+        if k > 3:
+            assert results["unsupported"] >= 150  # "... above dimension 3 unsupported"
+
+
 class TestSliceByHyperplane:
     def test_splits_quadrant(self):
         c = slice_by_hyperplane(quadrant(), (1, -1))
@@ -218,6 +322,14 @@ class TestSliceByHyperplane:
     def test_no_op_when_one_sided(self):
         c = slice_by_hyperplane(quadrant(), (1, 1))
         assert c == quadrant()
+
+    def test_rational_normal(self):
+        h = (Fraction(1, 2), Fraction(-1, 3))
+        assert slice_by_hyperplane(octant(), h + (0,)) == slice_by_hyperplane(
+            octant(), (3, -2, 0)
+        )
+        with pytest.raises(TypeError):
+            slice_by_hyperplane(quadrant(), (0.5, -1))
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_slice_rays_of_simplicial_cone_are_extreme(self, k):
