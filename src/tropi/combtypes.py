@@ -19,7 +19,7 @@ from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cones import ComplexError, Cone, ConeComplex, locate, minimal_containing_cone
-from .linalg import IntVector, is_zero, vec_neg
+from .linalg import IntVector, is_unimodular, is_zero, primitive, vec_neg
 
 Edge = tuple[str, str]
 
@@ -486,8 +486,6 @@ def collect_sensitive_slopes(
     Both orientations of every edge are considered; primitive
     representatives are included alongside the original vectors.
     """
-    from .linalg import primitive
-
     out: set[IntVector] = set()
     for t in types:
         if t.edge_slopes is None:
@@ -626,8 +624,6 @@ def lift_numerical_data(sub, lam: NumericalData) -> NumericalData:
     the blown-up cone; degrees against rays generating that cone drop by
     d_E, other degrees are unchanged.
     """
-    from .linalg import is_unimodular
-
     base, refined = sub.base, sub.refined
     extra = [r for r in refined.rays if r not in base.rays]
     if len(extra) != 1 or len(refined.rays) != len(base.rays) + 1:

@@ -234,7 +234,12 @@ def locate(c: ConeComplex, p: Sequence) -> Optional[tuple]:
 
     These are p's fan coordinates: ray ids[i] has coefficient
     numerators[i] / denominator, and every other ray has 0."""
-    for ids, kern in zip(c.max_cones, c.max_kernels.values()):
+    return first_containing(zip(c.max_cones, c.max_kernels.values()), p)
+
+
+def first_containing(cones: Iterable[tuple], p: Sequence) -> Optional[tuple]:
+    """locate's scan over any (key, kernel) pairs: (key, numerators, denom)."""
+    for ids, kern in cones:
         nums = kern.numerators(p)
         if nums is not None and all(x >= 0 for x in nums):
             return ids, nums, kern.denom

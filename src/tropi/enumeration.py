@@ -48,6 +48,7 @@ from .combtypes import (
     collect_sensitive_slopes,
     validate_type,
 )
+from .linalg import primitive
 from .subdivide import Subdivision, sensitize
 
 MAX_VERTICES = 6
@@ -322,8 +323,6 @@ def sensitize_for_data(
     target: ConeComplex, lam: NumericalData, cat: DegreeCatalogue
 ) -> Subdivision:
     """Enumerate types, collect their cone-positive slopes, and sensitize."""
-    from .linalg import primitive
-
     types = enumerate_types(target, lam, cat)
     slopes = collect_sensitive_slopes(types)
     sub = sensitize(target, slopes)

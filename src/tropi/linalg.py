@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 IntVector = tuple[int, ...]
 QVector = tuple[Fraction, ...]
-QMatrix = tuple[QVector, ...]
 
 
 class LinAlgError(ValueError):
@@ -41,19 +40,12 @@ def is_zero(v: Sequence) -> bool:
     return all(a == 0 for a in v)
 
 
-def gcd_all(xs: Sequence[int]) -> int:
-    g = 0
-    for x in xs:
-        g = gcd(g, abs(x))
-    return g
-
-
 def primitive(v: IntVector) -> IntVector:
     """Divide out the gcd of the coordinates, keeping the direction.
 
     (2,4) -> (1,2); the zero vector has no primitive generator.
     """
-    g = gcd_all(v)
+    g = gcd(*v)
     if g == 0:
         raise LinAlgError("zero vector has no primitive generator")
     return tuple(x // g for x in v)

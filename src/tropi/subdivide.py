@@ -20,6 +20,7 @@ from .cones import (
     ConeComplex,
     cone_kernel,
     coordinate_projection,
+    first_containing,
     minimal_containing_cone,
 )
 from .feasibility import LinearSystem, _normalize, fm_feasible
@@ -76,35 +77,46 @@ def compose(s1: Subdivision, s2: Subdivision) -> Subdivision:
 # -- stellar subdivision --------------------------------------------------
 
 
+def _pieces(c: ConeComplex) -> list:
+    """The working form of a fan under refinement: its maximal cones as
+    generator tuples, sorted because c.rays is."""
+    return [tuple(c.rays[i] for i in mc) for mc in c.max_cones]
+
+
+def _refined(c: ConeComplex, pieces: list, inserted: list) -> ConeComplex:
+    """c refined to pieces, with the inserted rays; c itself if there are none."""
+    return _assemble(c.ambient_dim, pieces, c.rays + tuple(inserted)) if inserted else c
+
+
 def stellar_at_point(c: ConeComplex, v: Sequence[int]) -> Subdivision:
     """Insert primitive(v) as a ray, star-subdividing the cones around it."""
     v = tuple(int(x) for x in v)
     if is_zero(v):
         raise ComplexError("cannot subdivide at the zero vector")
     w = primitive(v)
-    refined = _star(c, w)
-    warnings = (f"point {w} is already a ray",) if refined is c else ()
-    return make_subdivision(c, refined, warnings)
+    pieces = _pieces(c)
+    if not _star(c.ambient_dim, pieces, w):
+        return make_subdivision(c, c, (f"point {w} is already a ray",))
+    return make_subdivision(c, _refined(c, pieces, [w]))
 
 
-def _star(c: ConeComplex, w: IntVector) -> ConeComplex:
-    """c star-subdivided at the primitive vector w; c itself if w is a ray."""
-    home = minimal_containing_cone(c, w)
-    if home is None:
+def _star(ambient_dim: int, pieces: list, w: IntVector) -> bool:
+    """Star-subdivide pieces at the primitive vector w; False if it is a ray."""
+    hit = first_containing(((g, cone_kernel(g, ambient_dim)) for g in pieces), w)
+    if hit is None:
         raise ComplexError(f"point {w} lies outside the support")
+    home = {g for g, x in zip(hit[0], hit[1]) if x > 0}
     if len(home) == 1:
-        return c
-    rays = list(c.rays) + [w]
-    new_id = len(c.rays)
-    new_cones: list[frozenset[int]] = []
-    for mc in c.max_cones:
-        cone = frozenset(mc)
-        if home <= cone:
-            for i in home:
-                new_cones.append((cone - {i}) | {new_id})
-        else:
-            new_cones.append(cone)
-    return ConeComplex._refinement(c.ambient_dim, rays, new_cones)
+        return False
+    _split(pieces, home, w)
+    return True
+
+
+def _split(pieces: list, home: set, w: IntVector) -> None:
+    """Replace each piece containing the cone home by its star at w."""
+    stars = [p for p in pieces if home.issubset(p)]
+    pieces[:] = [p for p in pieces if p not in stars]
+    pieces += [tuple(sorted({*p, w} - {h})) for p in stars for h in home]
 
 
 def stellar(c: ConeComplex, sigma: Cone) -> Subdivision:
@@ -119,21 +131,6 @@ def stellar(c: ConeComplex, sigma: Cone) -> Subdivision:
 
 
 # -- V-representation helpers ---------------------------------------------
-
-
-def halfspace_description(
-    gens: Sequence[IntVector],
-) -> tuple[list[IntVector], list[IntVector]]:
-    """(inequality rows, equality rows) cutting out the simplicial cone.
-
-    Inequality rows are the integer rows adj(U U^T) U, det(U U^T) > 0 times
-    the barycentric functionals (U U^T)^{-1} U; equality rows are
-    independent integer rows vanishing exactly on the span.
-    """
-    if not gens:
-        return [], []
-    kern = cone_kernel(tuple(gens), len(gens[0]))
-    return list(kern.dual), list(kern.eqs)
 
 
 def _slice_rays(
@@ -187,13 +184,13 @@ def intersect_simplicial(
     """Extreme rays of the intersection of two simplicial cones."""
     if not gens1 or not gens2:
         return []
-    lam2, eqs2 = halfspace_description(gens2)
+    kern = cone_kernel(tuple(gens2), len(gens2[0]))
     rays = list(gens1)
-    for e in eqs2:
+    for e in kern.eqs:
         rays = _slice_rays(rays, e, 0)
         if not rays:
             return []
-    for l in lam2:
+    for l in kern.dual:
         rays = _slice_rays(rays, l, 1)
         if not rays:
             return []
@@ -206,7 +203,7 @@ def triangulate_cone(rays: list[IntVector]) -> list[tuple[IntVector, ...]]:
     Simplicial input passes through; otherwise the rays are put in cyclic
     order around the interior axis a = sum of the rays, by the sign of
     det(a, u, v) on three coordinates onto which the span projects
-    isomorphically, and fanned out from the lexicographically smallest ray.
+    isomorphically, and fanned out from the least ray into sorted tuples.
     Cones of dimension 4 and above with non-simplicial shape are out of scope.
     """
     rays = sorted(set(rays))
@@ -238,12 +235,17 @@ def triangulate_cone(rays: list[IntVector]) -> list[tuple[IntVector, ...]]:
         # then by turn within it
         return turn(apex, v) - turn(apex, u) or turn(v, u)
 
-    cyc = sorted(rays[1:], key=cmp_to_key(cmp))
-    return [(apex, a, b) for a, b in zip(cyc, cyc[1:])]
+    cyc = [apex, *sorted(rays[1:], key=cmp_to_key(cmp))]
+    # extreme rays of a pointed cone turn the same way at every corner
+    turns = zip(cyc, cyc[1:] + cyc[:1], cyc[2:] + cyc[:2])
+    if any(det([proj[u], proj[v], proj[w]]) <= 0 for u, v, w in turns):
+        raise ComplexError(f"rays {rays} are not extreme in a 3-dimensional cone")
+    return [(apex, *sorted(pair)) for pair in zip(cyc[1:], cyc[2:])]
 
 
-def _assemble(ambient_dim: int, pieces: list[tuple[IntVector, ...]]) -> ConeComplex:
-    ray_set = sorted({r for piece in pieces for r in piece})
+def _assemble(ambient_dim: int, pieces: list, ray_set=None) -> ConeComplex:
+    """The complex on pieces; its rays are ray_set, by default those used."""
+    ray_set = ray_set or sorted({r for piece in pieces for r in piece})
     index = {r: i for i, r in enumerate(ray_set)}
     cones = [frozenset(index[r] for r in piece) for piece in pieces]
     return ConeComplex._refinement(ambient_dim, ray_set, cones)
@@ -254,20 +256,23 @@ def _assemble(ambient_dim: int, pieces: list[tuple[IntVector, ...]]) -> ConeComp
 
 def slice_by_hyperplane(c: ConeComplex, h: Sequence) -> ConeComplex:
     """Refine so that every cone lies on one closed side of h . x = 0."""
+    return _assemble(c.ambient_dim, _slice(_pieces(c), h))
+
+
+def _slice(cones: list, h: Sequence) -> list:
     h, _ = _normalize(h, 0)  # integer entries, same hyperplane and sides
     pieces: list[tuple[IntVector, ...]] = []
-    for mc in c.max_cones:
-        gens = c.generators(frozenset(mc))
+    for gens in cones:
         vals = [vec_dot(h, g) for g in gens]
         if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
-            pieces.append(tuple(gens))
+            pieces.append(gens)
             continue
         # already extreme: kept generators and cuts inside 2-faces of gens
         for side in (1, -1):
             part = _slice_rays(list(gens), h, side)
             if part and mat_rank(part) == mat_rank(gens):
                 pieces.extend(triangulate_cone(part))
-    return _assemble(c.ambient_dim, pieces)
+    return pieces
 
 
 def common_refinement(s1: ConeComplex, s2: ConeComplex) -> ConeComplex:
@@ -281,10 +286,8 @@ def common_refinement(s1: ConeComplex, s2: ConeComplex) -> ConeComplex:
         if minimal_containing_cone(s1, ray) is None:
             raise ComplexError(f"supports differ: ray {ray} not in first complex")
     pieces: list[tuple[IntVector, ...]] = []
-    for mc1 in s1.max_cones:
-        gens1 = s1.generators(frozenset(mc1))
-        for mc2 in s2.max_cones:
-            gens2 = s2.generators(frozenset(mc2))
+    for gens1 in _pieces(s1):
+        for gens2 in _pieces(s2):
             xr = intersect_simplicial(gens1, gens2)
             if xr:
                 pieces.extend(triangulate_cone(xr))
@@ -333,22 +336,26 @@ def resolve_smooth(c: ConeComplex) -> Subdivision:
     off one Smith reduction of its generators in O(index) points; the pair
     (max index, number of attaining cones) strictly decreases.
     """
-    return make_subdivision(c, _resolve(c))
+    pieces = _pieces(c)
+    inserted = _resolve(c.ambient_dim, pieces)
+    return make_subdivision(c, _refined(c, pieces, inserted))
 
 
-def _resolve(current: ConeComplex) -> ConeComplex:
+def _resolve(ambient_dim: int, pieces: list) -> list[IntVector]:
+    """Resolve pieces in place; returns the rays inserted, in order."""
     mults: dict[tuple[IntVector, ...], int] = {}  # by generator tuple
+    inserted = []
     while True:
-        worst, worst_mult = None, 1
-        for mc in current.max_cones:
-            gens = tuple(current.generators(frozenset(mc)))
-            if gens not in mults:
-                mults[gens] = lattice_index(gens) if gens else 1
-            if mults[gens] > worst_mult:
-                worst, worst_mult = gens, mults[gens]
-        if worst is None:
-            return current
-        current = _star(current, _parallelepiped_witness(worst))
+        mults.update((g, lattice_index(g)) for g in pieces if g not in mults)
+        # ray ids rank the ray vectors, so tuples order cones canonically
+        worst = min(pieces, key=lambda g: (-mults[g], g))
+        if mults[worst] == 1:
+            return inserted
+        w = _parallelepiped_witness(worst)
+        # w lies in worst, so its home cone is the face where it is positive
+        nums = cone_kernel(worst, ambient_dim).numerators(w)
+        _split(pieces, {g for g, x in zip(worst, nums) if x > 0}, w)
+        inserted.append(w)
 
 
 # -- slope-sensitive subdivision ------------------------------------------
@@ -377,22 +384,20 @@ def sensitize(
     slope_list.sort()
 
     rank = max((len(mc) for mc in target.max_cones), default=0)
-    current = target
+    pieces = _pieces(target)
     if rank > 2:
         for pair in combinations(range(1, target.ambient_dim + 1), 2):
             proj = coordinate_projection(target, pair)
-            proj_slopes = []
-            for s in slope_list:
-                img = proj.project_point(s)
-                if not is_zero(img):
-                    proj_slopes.append(primitive(img))
+            imgs = map(proj.project_point, slope_list)
+            proj_slopes = [primitive(img) for img in imgs if not is_zero(img)]
             img_sub = sensitize(proj.image, proj_slopes)
             i1, i2 = pair[0] - 1, pair[1] - 1
             for r in img_sub.refined.rays:
                 h = [0] * target.ambient_dim
                 h[i1], h[i2] = r[1], -r[0]
-                if any(x != 0 for x in h):
-                    current = slice_by_hyperplane(current, h)
-    for s in slope_list:
-        current = _star(current, s)
-    return make_subdivision(target, _resolve(current))
+                pieces = _slice(pieces, h)
+    inserted = [s for s in slope_list if _star(target.ambient_dim, pieces, s)]
+    inserted += _resolve(target.ambient_dim, pieces)
+    if rank > 2:  # slicing keeps only the rays that cones use
+        return make_subdivision(target, _assemble(target.ambient_dim, pieces))
+    return make_subdivision(target, _refined(target, pieces, inserted))

@@ -1,7 +1,7 @@
 import collections
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -11,13 +11,15 @@ from tropi.cones import (
     ConeComplex,
     angular_sorted,
     build_snc_tropicalization,
+    coordinate_projection,
     minimal_containing_cone,
 )
-from tropi.feasibility import LinearSystem, fm_feasible
+from tropi.feasibility import LinearSystem, _normalize, fm_feasible
 from tropi.linalg import (
     LinAlgError,
     det,
     is_unimodular,
+    is_zero,
     lattice_index,
     mat_rank,
     primitive,
@@ -212,6 +214,18 @@ class TestTriangulate:
         apex = min(map(tuple, map(sorted, [rays])))  # noqa: just sanity
         lex_min = min(rays)
         assert all(lex_min in p for p in pieces)
+
+    @pytest.mark.parametrize(
+        "rays",
+        [
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],  # interior ray
+            [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)],  # not pointed
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)],  # ray on a face
+        ],
+    )
+    def test_rank_three_precondition_checked(self, rays):
+        with pytest.raises(ComplexError, match="not extreme"):
+            triangulate_cone(rays)
 
 
 def _positive_functional(rays):
@@ -550,3 +564,249 @@ class TestRefinementsAreValidComplexes:
         assert len(resolve_smooth(base).refined.rays) == 8
         s = sensitize(target, [(1, 1, 2), (1, 2, 0)])
         assert (1, 1, 2) in s.refined.rays and (1, 2, 0) in s.refined.rays
+
+
+# -- the id-based refinements as they were: each step rebuilds the complex --
+
+
+def reference_star(c, w):
+    """c star-subdivided at the primitive vector w; c itself if w is a ray."""
+    home = minimal_containing_cone(c, w)
+    if home is None:
+        raise ComplexError(f"point {w} lies outside the support")
+    if len(home) == 1:
+        return c
+    rays = list(c.rays) + [w]
+    new_id = len(c.rays)
+    new_cones = []
+    for mc in c.max_cones:
+        cone = frozenset(mc)
+        if home <= cone:
+            for i in home:
+                new_cones.append((cone - {i}) | {new_id})
+        else:
+            new_cones.append(cone)
+    return ConeComplex._refinement(c.ambient_dim, rays, new_cones)
+
+
+def reference_resolve(current):
+    mults = {}
+    while True:
+        worst, worst_mult = None, 1
+        for mc in current.max_cones:
+            gens = tuple(current.generators(frozenset(mc)))
+            if gens not in mults:
+                mults[gens] = lattice_index(gens) if gens else 1
+            if mults[gens] > worst_mult:
+                worst, worst_mult = gens, mults[gens]
+        if worst is None:
+            return current
+        current = reference_star(current, _parallelepiped_witness(worst))
+
+
+def reference_stellar_at_point(c, v):
+    v = tuple(int(x) for x in v)
+    if is_zero(v):
+        raise ComplexError("cannot subdivide at the zero vector")
+    w = primitive(v)
+    refined = reference_star(c, w)
+    warnings = (f"point {w} is already a ray",) if refined is c else ()
+    return make_subdivision(c, refined, warnings)
+
+
+def reference_stellar(c, sigma):
+    sigma = frozenset(sigma)
+    if not c.has_cone(sigma) or len(sigma) == 0:
+        raise ComplexError(f"{sorted(sigma)} is not a positive-dimensional cone")
+    if len(sigma) == 1:
+        warning = "stellar subdivision at a ray is the identity"
+        return make_subdivision(c, c, (warning,))
+    return reference_stellar_at_point(c, c.barycenter(sigma))
+
+
+def reference_resolve_smooth(c):
+    return make_subdivision(c, reference_resolve(c))
+
+
+def reference_slice_by_hyperplane(c, h):
+    h, _ = _normalize(h, 0)
+    pieces = []
+    for mc in c.max_cones:
+        gens = c.generators(frozenset(mc))
+        vals = [vec_dot(h, g) for g in gens]
+        if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
+            pieces.append(tuple(gens))
+            continue
+        for side in (1, -1):
+            part = _slice_rays(list(gens), h, side)
+            if part and mat_rank(part) == mat_rank(gens):
+                pieces.extend(triangulate_cone(part))
+    ray_set = sorted({r for piece in pieces for r in piece})
+    index = {r: i for i, r in enumerate(ray_set)}
+    cones = [frozenset(index[r] for r in piece) for piece in pieces]
+    return ConeComplex._refinement(c.ambient_dim, ray_set, cones)
+
+
+def reference_sensitize(target, slopes):
+    slope_list = []
+    for s in slopes:
+        v = tuple(int(x) for x in s)
+        if is_zero(v):
+            raise ComplexError("zero vector is not a slope")
+        p = primitive(v)
+        if minimal_containing_cone(target, p) is None:
+            raise ComplexError(f"slope {p} lies outside the support")
+        if p not in slope_list:
+            slope_list.append(p)
+    slope_list.sort()
+
+    rank = max((len(mc) for mc in target.max_cones), default=0)
+    current = target
+    if rank > 2:
+        for pair in combinations(range(1, target.ambient_dim + 1), 2):
+            proj = coordinate_projection(target, pair)
+            proj_slopes = []
+            for s in slope_list:
+                img = proj.project_point(s)
+                if not is_zero(img):
+                    proj_slopes.append(primitive(img))
+            img_sub = reference_sensitize(proj.image, proj_slopes)
+            i1, i2 = pair[0] - 1, pair[1] - 1
+            for r in img_sub.refined.rays:
+                h = [0] * target.ambient_dim
+                h[i1], h[i2] = r[1], -r[0]
+                if any(x != 0 for x in h):
+                    current = reference_slice_by_hyperplane(current, h)
+    for s in slope_list:
+        current = reference_star(current, s)
+    return make_subdivision(target, reference_resolve(current))
+
+
+def _outcome(f, *args):
+    """A comparable record of f(*args): the complex, or the subdivision's
+    refined complex, cone images, warnings and whether it returned its
+    input complex itself; or the error type and message."""
+    try:
+        out = f(*args)
+    except (ComplexError, LinAlgError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, ConeComplex):
+        return out, out.rays
+    return out.refined, out.refined.rays, out.cone_image, out.warnings, (
+        out.refined is out.base
+    )
+
+
+PAIRS = [
+    (stellar_at_point, reference_stellar_at_point),
+    (stellar, reference_stellar),
+    (resolve_smooth, reference_resolve_smooth),
+    (slice_by_hyperplane, reference_slice_by_hyperplane),
+    (sensitize, reference_sensitize),
+]
+
+
+def _agree(name, *args):
+    new, ref = next(pair for pair in PAIRS if pair[0].__name__ == name)
+    got = _outcome(new, *args)
+    assert got == _outcome(ref, *args), (name, args)
+    return got
+
+
+def _unimodular(rng, k):
+    """A seeded integer matrix of determinant +-1 (rows)."""
+    m = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(3 * k):
+        i, j = rng.sample(range(k), 2)
+        a = rng.choice([-2, -1, 1, 2])
+        m[i] = [x + a * y for x, y in zip(m[i], m[j])]
+    if rng.random() < 0.5:
+        m[0] = [-x for x in m[0]]
+    return m
+
+
+def _mapped_cone(rng, gens):
+    """The cone on gens moved by a seeded unimodular map."""
+    k = len(gens[0])
+    m = _unimodular(rng, k)
+    images = [tuple(vec_dot(row, u) for row in m) for u in gens]
+    return ConeComplex(k, images, [range(len(gens))])
+
+
+class TestRefinementsAgainstReference:
+    """Refinements built on generator tuples equal the id-based ones that
+    rebuild the complex after every step."""
+
+    def test_seeded_draws(self):
+        for fan, p, q, sigma, h in _seeded_draws():
+            a = _agree("stellar_at_point", fan, p)[0]
+            _agree("stellar_at_point", fan, q)
+            _agree("stellar_at_point", a, q)
+            _agree("stellar_at_point", a, p)  # already a ray
+            if sigma is not None:
+                _agree("stellar", fan, sigma)
+            _agree("resolve_smooth", fan)
+            _agree("resolve_smooth", a)
+            if any(h):
+                _agree("slice_by_hyperplane", fan, h)
+                _agree("slice_by_hyperplane", a, h)
+            _agree("sensitize", fan, [])
+            _agree("sensitize", fan, [p, q])
+
+    def test_high_index_cones_under_unimodular_maps(self):
+        rng = random.Random(13)
+        cones = [[(1, 0), (1, m)] for m in range(1, 61)]
+        cones += [[(1, 0, 0), (0, 1, 0), (1, 2, m)] for m in range(1, 6)]
+        for gens in cones:
+            for _ in range(2):
+                c = _mapped_cone(rng, gens)
+                sub = _agree("resolve_smooth", c)[0]
+                center = c.barycenter(frozenset(range(len(gens))))
+                _agree("stellar_at_point", c, center)
+                _agree("slice_by_hyperplane", c, [rng.randint(-2, 2) for _ in gens])
+                # on the 3D cones sensitize's pulled-back cuts reach lattice
+                # indices too large to resolve, at the reference too
+                if len(gens) == 2:
+                    _agree("sensitize", c, [center, sub.rays[len(sub.rays) // 2]])
+
+    def test_random_3d_cones(self):
+        """Cones of index 2-40 whose worst cones tie during resolution, so
+        the canonical tie-break decides the refinement."""
+        rng = random.Random(5)
+        drawn = 0
+        while drawn < 150:
+            gens = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3)]
+            if not all(map(any, gens)) or mat_rank(gens) < 3:
+                continue
+            gens = [primitive(u) for u in gens]
+            if 2 <= lattice_index(gens) <= 40:
+                _agree("resolve_smooth", ConeComplex(3, gens, [range(3)]))
+                drawn += 1
+
+    def test_rays_no_cone_uses(self):
+        fans = [
+            # (1, 3) lies inside the cone, (-1, 1) outside the support
+            ConeComplex(2, [(1, 0), (1, 3), (0, 1), (-1, 1)], [{0, 2}]),
+            ConeComplex(2, [(1, 0), (1, 5), (-1, 1)], [{0, 1}]),
+            ConeComplex(
+                3, [(1, 0, 0), (0, 1, 0), (1, 1, 3), (0, 0, 1)], [{0, 1, 2}]
+            ),
+        ]
+        for c in fans:
+            for p in [(1, 1), (1, 3), (1, 2), (2, 1, 3), (1, 1, 3), (1, 1, 1)]:
+                if len(p) == c.ambient_dim:
+                    _agree("stellar_at_point", c, p)
+                    _agree("sensitize", c, [p])
+            _agree("resolve_smooth", c)
+            _agree("sensitize", c, [])
+            _agree("slice_by_hyperplane", c, (1, -1) + (0,) * (c.ambient_dim - 2))
+        # the unused ray is kept when rays are inserted
+        got = _agree("stellar_at_point", fans[1], (1, 1))
+        assert (-1, 1) in got[1]
+
+    @pytest.mark.parametrize(
+        "slopes", [[(1, 2, 1), (2, 1, 1)], [(1, 2, 3), (3, 1, 2)]]
+    )
+    def test_octant_pairs(self, slopes):
+        got = _agree("sensitize", octant(), slopes)
+        assert all(s in got[1] for s in slopes)
