@@ -288,6 +288,18 @@ def _ambient_degree(target: ConeComplex, d: Sequence[int]) -> list[int]:
     ]
 
 
+def subtree_slopes(g: DecoratedGraph, root: str, net: dict) -> dict[Edge, IntVector]:
+    """Edge slopes away from each edge's first endpoint, leaf to root: the
+    slope leaving a subtree is the sum of its vertices' ambient vectors in
+    ``net``, which is summed in place."""
+    out: dict[Edge, IntVector] = {}
+    for v, e, w in reversed(list(g.walk(root))):
+        m = net[w]  # w's whole subtree, leaving it toward v
+        net[v] = [x + y for x, y in zip(net[v], m)]
+        out[e] = tuple(m) if e[0] == w else vec_neg(m)  # away from e[0]
+    return out
+
+
 def solve_balancing(
     t: CombinatorialType, root: Optional[str] = None
 ) -> dict[Edge, IntVector]:
@@ -315,11 +327,7 @@ def solve_balancing(
             located.append(hit)
             vec = [x - y for x, y in zip(vec, t.leg_slopes[j])]
         net[v] = vec
-    out: dict[Edge, IntVector] = {}
-    for v, e, w in reversed(list(g.walk(root))):
-        m = net[w]  # w's whole subtree, leaving it toward v
-        net[v] = [x + y for x, y in zip(net[v], m)]
-        out[e] = tuple(m) if e[0] == w else vec_neg(m)  # away from e[0]
+    out = subtree_slopes(g, root, net)
     # per ray: total degree against the legs' summed fan coordinates
     total, den = _coordinate_sum(len(t.target.rays), located)
     for i, (x, col) in enumerate(zip(total, zip(*g.degrees.values()))):

@@ -23,11 +23,18 @@ candidate, so the output does not depend on them:
   earlier, and its candidates are the isomorphic images of this decoration's
   candidates, with the same codes.
 
-Edge slopes are integer subtree sums: the slope leaving a subtree is the sum
-of its vertices' degrees as ambient vectors minus its leg slopes, summed in
-``solve_balancing``'s edge order.  Types are built only for candidates: a
-decoration's ``DecoratedGraph`` at its first complete vertex-cone assignment,
-a ``CombinatorialType`` per candidate.
+Edge slopes are ``solve_balancing``'s integer subtree sums
+(``subtree_slopes``).  Types are built only for candidates: a decoration's
+``DecoratedGraph`` at its first complete vertex-cone assignment, a
+``CombinatorialType`` per candidate.
+
+Every candidate passes ``validate_type`` by construction, so the search does
+not run it.  Vertex cones come from ``target.cones()``, edge cones are joins
+looked up among the target's cones, and leg cones are
+``minimal_containing_cone`` of α_j, on which α_j has positive coordinates.
+``vertex_options`` puts each vertex cone inside its legs' cones, and an edge
+cone contains both endpoint cones.  One slope is stored per edge, and
+``edge_cone`` requires support and the positivity signs.
 """
 
 from __future__ import annotations
@@ -46,15 +53,15 @@ from .combtypes import (
     check_gathmann,
     check_global_balancing,
     collect_sensitive_slopes,
-    validate_type,
+    subtree_slopes,
 )
 from .linalg import primitive
 from .subdivide import Subdivision, sensitize
 
 MAX_VERTICES = 6
 """Largest catalogue ``max_vertices``.  The golden quadrant example (atoms
-(0,0), (2,2), (4,4)) takes about 2.6 s at 6 vertices (3327 types) and about
-11 s at 7 (13313 types) on a 2-vCPU Linux VM with Python 3.11, and each
+(0,0), (2,2), (4,4)) takes about 2.1 s at 6 vertices (3327 types) and about
+12 s at 7 (13313 types) on a 2-vCPU Linux VM with Python 3.11, and each
 further vertex multiplies the search by the number of atoms and of trees."""
 
 
@@ -246,30 +253,19 @@ def enumerate_types(
             closing: list[list[int]] = [[] for _ in names]
             for k, (a, b) in enumerate(shape):
                 closing[b].append(k)
-            # solve_balancing's edge order from v0, leaf to root: (edge,
-            # parent, child, whether the edge points away from the child)
             bare = DecoratedGraph(names, edges, [], dict.fromkeys(names, ()))
-            steps = [
-                (e, names.index(v), names.index(w), e[0] == w)
-                for v, e, w in reversed(list(bare.walk(names[0])))
-            ]
             auts = _automorphisms(v_count, shape)
             for deg_ids, leg_ids in _least_decorations(v_count, auts, balanced, lam.n):
-                # the slope leaving a subtree is the sum of its degrees as
-                # ambient vectors minus its leg slopes.  No root check: the
+                # solve_balancing's slopes without its root check: the
                 # degrees sum to the total degree, and so do the legs' fan
                 # coordinates (check_global_balancing), so every root
-                # residual is zero and these are solve_balancing's slopes
-                net = [atom_vecs[i] for i in deg_ids]
+                # residual is zero
+                net = {v: atom_vecs[i] for v, i in zip(names, deg_ids)}
                 legs_at: list[list[int]] = [[] for _ in names]
                 for j, (w, alpha) in enumerate(zip(leg_ids, lam.alphas), start=1):
-                    net[w] = [x - y for x, y in zip(net[w], alpha)]
+                    net[names[w]] = [x - y for x, y in zip(net[names[w]], alpha)]
                     legs_at[w].append(j)
-                slopes = {}
-                for e, p, c, away in steps:
-                    m = net[c]
-                    net[p] = [x + y for x, y in zip(net[p], m)]
-                    slopes[e] = tuple(m) if away else tuple(-x for x in m)
+                slopes = subtree_slopes(bare, names[0], net)
                 edge_slopes = [slopes[e] for e in edges]
                 # vertex cones constrained by the legs they carry
                 vertex_options = [
@@ -299,8 +295,7 @@ def enumerate_types(
                             leg_slopes=leg_slopes,
                             edge_slopes=slopes,
                         )
-                        valid = validate_type(candidate).valid
-                        if valid and check_gathmann(candidate):
+                        if check_gathmann(candidate):
                             found.setdefault(canonical_code(candidate), candidate)
                         return
                     for c in vertex_options[i]:

@@ -79,15 +79,6 @@ class SensitivityReport:
         return all(v.passed for v in self.edges.values())
 
 
-def _edge_coords(t: CombinatorialType, e: Edge, v: str) -> tuple:
-    """Slope away from v in the generator basis of the edge cone, times the
-    cone's positive kernel denominator (only signs are read)."""
-    nums = t.target.kernel(t.edge_cones[e]).numerators(t.slope_from(v, e))
-    if nums is None:
-        raise TypeProblem(f"edge {e} slope not supported on its cone")
-    return nums
-
-
 def check_sensitivity_consequences(t: CombinatorialType) -> SensitivityReport:
     if t.edge_slopes is None:
         raise TypeProblem("edge slopes must be solved first")
@@ -95,7 +86,11 @@ def check_sensitivity_consequences(t: CombinatorialType) -> SensitivityReport:
     for e in t.graph.edges:
         cone = t.edge_cones[e]
         ids = sorted(cone)
-        coords = _edge_coords(t, e, e[0])
+        # the slope away from e[0] in the generator basis of the edge cone,
+        # times the cone's positive kernel denominator (only signs are read)
+        coords = t.target.kernel(cone).numerators(t.slope_from(e[0], e))
+        if coords is None:
+            raise TypeProblem(f"edge {e} slope not supported on its cone")
         positives = sum(1 for c in coords if c > 0)
         negatives = sum(1 for c in coords if c < 0)
         mixed_ok = positives <= 1 and negatives <= 1
@@ -110,7 +105,7 @@ def check_sensitivity_consequences(t: CombinatorialType) -> SensitivityReport:
             jump_ok = gap <= 1
             neg_ok = True
             if gap == 1:
-                away = _edge_coords(t, e, v)
+                away = coords if v == e[0] else [-c for c in coords]
                 (new_dir,) = cone - vc
                 pos = ids.index(new_dir)
                 neg_ok = away[pos] > 0 and all(

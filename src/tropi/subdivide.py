@@ -36,6 +36,14 @@ from .linalg import (
 )
 
 
+MAX_WITNESS_INDEX = 10**6
+"""Largest lattice index of a cone that resolution splits.  The witness lists
+all index-many points of the cone's fundamental parallelepiped: one witness
+at index 10**6 takes about 9 s on a 2-vCPU Linux VM with Python 3.11, and a
+whole resolution repeats it at every step.  A cone of larger index raises
+``ComplexError`` instead of a search that cannot finish."""
+
+
 @dataclass(frozen=True)
 class Subdivision:
     base: ConeComplex
@@ -334,7 +342,8 @@ def resolve_smooth(c: ConeComplex) -> Subdivision:
     At each step the worst cone (highest lattice index, ties lexicographic)
     is split at the minimal fundamental-parallelepiped lattice point, read
     off one Smith reduction of its generators in O(index) points; the pair
-    (max index, number of attaining cones) strictly decreases.
+    (max index, number of attaining cones) strictly decreases.  A cone of
+    index above ``MAX_WITNESS_INDEX`` raises ``ComplexError``.
     """
     pieces = _pieces(c)
     inserted = _resolve(c.ambient_dim, pieces)
@@ -351,6 +360,11 @@ def _resolve(ambient_dim: int, pieces: list) -> list[IntVector]:
         worst = min(pieces, key=lambda g: (-mults[g], g))
         if mults[worst] == 1:
             return inserted
+        if mults[worst] > MAX_WITNESS_INDEX:
+            raise ComplexError(
+                f"cannot resolve a cone of lattice index {mults[worst]}: "
+                f"MAX_WITNESS_INDEX is {MAX_WITNESS_INDEX}"
+            )
         w = _parallelepiped_witness(worst)
         # w lies in worst, so its home cone is the face where it is positive
         nums = cone_kernel(worst, ambient_dim).numerators(w)

@@ -24,7 +24,7 @@ from tropi.serialize import (
     type_to_dict,
 )
 from tropi.combtypes import solve_balancing
-from tropi.cones import ComplexError
+from tropi.cones import ComplexError, ConeComplex
 from tropi.enumeration import MAX_VERTICES, DegreeCatalogue
 from tropi.render import render_dot
 from tropi.smoothing import verify_realization
@@ -39,6 +39,7 @@ from generators import (
     random_realization,
 )
 from test_combtypes import bivalent_type, off_fan_type
+from test_subdivide import HUGE_INDEX_CASES
 from test_smoothing import broken_face_type, ray_type
 
 
@@ -174,6 +175,25 @@ class TestSubdivisionCommands:
         )
         assert result.exit_code == 2
         assert "common face" in result.summary
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("rays, slopes", HUGE_INDEX_CASES)
+    def test_sensitize_huge_lattice_index_exit_2(self, files, rays, slopes):
+        target = os.path.join(files["dir"], "skewed.json")
+        save_json(target, complex_to_dict(ConeComplex(3, rays, [range(3)])))
+        slope_file = os.path.join(files["dir"], "skewed_slopes.json")
+        save_json(slope_file, slopes_to_dict(slopes))
+        out = os.path.join(files["dir"], "sub.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropi.cli", "sensitize", "--target", target,
+             "--slopes", slope_file, "--out", out],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "validation error" in proc.stderr
+        assert "MAX_WITNESS_INDEX" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not os.path.exists(out)
 
     def test_sensitize_for_data(self, files):

@@ -187,6 +187,58 @@ def reference_enumerate(target, lam, cat):
     return [type_to_dict(found[k]) for k in sorted(found)]
 
 
+def seeded_draws():
+    """Seeded fans and data, each with a drawn catalogue and with the
+    catalogue {0, total, total//2, rest}, both at most 3 vertices: 12 draws,
+    as (fan, data, catalogue) triples.
+
+    Draws with more than 10 cones or 3 markings are passed over: the
+    reference takes 1 to 3 s on each of those.  That limit is the
+    reference's runtime, not a filter on the search's output.
+    """
+    rng = random.Random(8)
+    drawn = 0
+    while drawn < 12:
+        fan = generators.random_complex(rng)
+        lam = generators.random_lambda(rng, fan)
+        cat = generators.random_catalogue(rng, len(fan.rays))
+        if len(list(fan.cones())) > 10 or lam.n > 3:
+            continue
+        total = lam.total_degree
+        half = tuple(x // 2 for x in total)
+        rest = tuple(a - b for a, b in zip(total, half))
+        yield fan, lam, DegreeCatalogue(cat.atoms, min(cat.max_vertices, 3))
+        yield fan, lam, DegreeCatalogue([(0,) * len(total), total, half, rest], 3)
+        drawn += 1
+
+
+def stabiliser_draws():
+    """Seeded fans where one tangency repeats and the catalogue holds the
+    zero atom and halves of the total, at most 3 vertices: 8 draws.  Equal
+    atoms sit on symmetric vertices, so decorations have non-trivial
+    stabilisers and the search emits candidates that repeat a code.
+
+    Fans with more than 8 cones are passed over, for the reference's
+    runtime.
+    """
+    rng = random.Random(12)
+    drawn = 0
+    while drawn < 8:
+        fan = generators.random_complex(rng)
+        lam = generators.random_lambda(rng, fan)
+        if len(list(fan.cones())) > 8 or lam.n == 0:
+            continue
+        n = rng.randint(1, 2)
+        alpha = lam.alphas[0]
+        coords = [ray_coefficient(fan, i, alpha) for i in range(len(fan.rays))]
+        lam = NumericalData(n, [alpha] * n, [int(c) * n for c in coords])
+        total = lam.total_degree
+        half = tuple(x // 2 for x in total)
+        rest = tuple(a - b for a, b in zip(total, half))
+        yield fan, lam, DegreeCatalogue([(0,) * len(total), half, rest, total], 3)
+        drawn += 1
+
+
 class TestWorkedExample:
     def test_nonempty_and_deduplicated(self):
         types = worked_example()
@@ -290,71 +342,30 @@ class TestOrbitSearchAgainstReference:
         )
 
     def test_seeded_random_data(self):
-        """Seeded fans and data, with a drawn catalogue and with the
-        catalogue {0, total, total//2, rest}, both at most 3 vertices.
-
-        Draws with more than 10 cones or 3 markings are passed over: the
-        reference takes 1 to 3 s on each of those.  That limit is the
-        reference's runtime, not a filter on the search's output.
-        """
-        rng = random.Random(8)
-        compared = nonempty = 0
-        while compared < 12:
-            fan = generators.random_complex(rng)
-            lam = generators.random_lambda(rng, fan)
-            drawn = generators.random_catalogue(rng, len(fan.rays))
-            if len(list(fan.cones())) > 10 or lam.n > 3:
-                continue
-            total = lam.total_degree
-            half = tuple(x // 2 for x in total)
-            rest = tuple(a - b for a, b in zip(total, half))
-            for cat in (
-                DegreeCatalogue(drawn.atoms, min(drawn.max_vertices, 3)),
-                DegreeCatalogue([(0,) * len(total), total, half, rest], 3),
-            ):
-                fast = [type_to_dict(t) for t in enumerate_types(fan, lam, cat)]
-                assert fast == reference_enumerate(fan, lam, cat)
-                nonempty += bool(fast)
-            compared += 1
+        """The draws of ``seeded_draws``."""
+        nonempty = 0
+        for fan, lam, cat in seeded_draws():
+            fast = [type_to_dict(t) for t in enumerate_types(fan, lam, cat)]
+            assert fast == reference_enumerate(fan, lam, cat)
+            nonempty += bool(fast)
         assert nonempty >= 12
 
-
     def test_nontrivial_stabilisers(self, monkeypatch):
-        """Seeded fans where one tangency repeats and the catalogue holds the
-        zero atom and halves of the total, at most 3 vertices: equal atoms
-        sit on symmetric vertices, so decorations have non-trivial
-        stabilisers and the search emits candidates that repeat a code.
-
-        Fans with more than 8 cones are passed over, for the reference's
-        runtime.
-        """
+        """The draws of ``stabiliser_draws``: the search emits candidates
+        that repeat a code."""
         emitted = []
         monkeypatch.setattr(
             enumeration,
             "canonical_code",
             lambda t, code=canonical_code: emitted.append(1) or code(t),
         )
-        rng = random.Random(12)
-        compared = repeats = 0
-        while compared < 8:
-            fan = generators.random_complex(rng)
-            drawn = generators.random_lambda(rng, fan)
-            if len(list(fan.cones())) > 8 or drawn.n == 0:
-                continue
-            n = rng.randint(1, 2)
-            alpha = drawn.alphas[0]
-            coords = [ray_coefficient(fan, i, alpha) for i in range(len(fan.rays))]
-            lam = NumericalData(n, [alpha] * n, [int(c) * n for c in coords])
-            total = lam.total_degree
-            half = tuple(x // 2 for x in total)
-            rest = tuple(a - b for a, b in zip(total, half))
-            cat = DegreeCatalogue([(0,) * len(total), half, rest, total], 3)
+        repeats = 0
+        for fan, lam, cat in stabiliser_draws():
             emitted.clear()
             fast = [type_to_dict(t) for t in enumerate_types(fan, lam, cat)]
             assert fast == reference_enumerate(fan, lam, cat)
             assert fast
             repeats += len(emitted) - len(fast)
-            compared += 1
         assert repeats > 0
 
 
@@ -407,26 +418,52 @@ class TestEmittedSlopes:
         self.assert_solved(types)
 
     def test_seeded_random_data(self):
-        rng = random.Random(8)
-        checked = emitted = 0
-        while checked < 12:
-            fan = generators.random_complex(rng)
-            lam = generators.random_lambda(rng, fan)
-            drawn = generators.random_catalogue(rng, len(fan.rays))
-            if len(list(fan.cones())) > 10 or lam.n > 3:
-                continue
-            total = lam.total_degree
-            half = tuple(x // 2 for x in total)
-            rest = tuple(a - b for a, b in zip(total, half))
-            for cat in (
-                DegreeCatalogue(drawn.atoms, min(drawn.max_vertices, 3)),
-                DegreeCatalogue([(0,) * len(total), total, half, rest], 3),
-            ):
-                types = enumerate_types(fan, lam, cat)
-                self.assert_solved(types)
-                emitted += len(types)
-            checked += 1
+        emitted = 0
+        for fan, lam, cat in seeded_draws():
+            types = enumerate_types(fan, lam, cat)
+            self.assert_solved(types)
+            emitted += len(types)
         assert emitted >= 100
+
+
+class TestEveryCandidateIsValid:
+    """The search runs no ``validate_type``: every candidate it hands to
+    ``check_gathmann``, kept or not, is valid by construction."""
+
+    @pytest.fixture
+    def candidates(self, monkeypatch):
+        seen = []
+
+        def checked(t, gathmann=check_gathmann):
+            assert validate_type(t).valid, validate_type(t).failures()
+            seen.append(gathmann(t))
+            return seen[-1]
+
+        monkeypatch.setattr(enumeration, "check_gathmann", checked)
+        return seen
+
+    def test_golden(self, candidates):
+        cat = DegreeCatalogue(atoms=[(0, 0), (2, 2), (4, 4)], max_vertices=4)
+        assert len(enumerate_types(quadrant(), golden_lambda(), cat)) == 172
+        assert len(candidates) >= 172
+
+    def test_seeded_random_data(self, candidates):
+        emitted = sum(len(enumerate_types(*draw)) for draw in seeded_draws())
+        assert len(candidates) > emitted >= 100
+
+    def test_nontrivial_stabilisers(self, candidates):
+        assert sum(len(enumerate_types(*draw)) for draw in stabiliser_draws())
+        assert not all(candidates)  # check_gathmann rejects some of them
+
+    def test_repeated_markings(self, candidates):
+        """Markings (1,0), (0,1) three times each on the quadrant."""
+        q = quadrant()
+        lam = NumericalData(
+            6, [(1, 0), (0, 1)] * 3, deg(q, **{str((1, 0)): 3, str((0, 1)): 3})
+        )
+        cat = DegreeCatalogue(atoms=[(0, 0), (1, 1), (2, 2)], max_vertices=3)
+        types = enumerate_types(q, lam, cat)
+        assert len(candidates) >= len(types) > 0
 
 
 class TestEdgeCases:

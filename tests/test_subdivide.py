@@ -27,7 +27,9 @@ from tropi.linalg import (
     vec_dot,
 )
 from generators import random_complex
+from tropi import subdivide
 from tropi.subdivide import (
+    MAX_WITNESS_INDEX,
     _parallelepiped_witness,
     _slice_rays,
     common_refinement,
@@ -437,6 +439,34 @@ class TestParallelepipedWitness:
     def test_unimodular_cone_rejected(self):
         with pytest.raises(ComplexError):
             _parallelepiped_witness([(1, 0), (1, 1)])
+
+
+# 3D cones in skewed coordinates: sensitize's pulled-back cuts leave pieces
+# of lattice index about 1.3e85 and 6.3e17, too many parallelepiped points
+HUGE_INDEX_CASES = [
+    ([(-75, 31, 31), (-36, 15, 14), (-7, 3, 2)], [(-118, 49, 47), (-36, 15, 14)]),
+    ([(-4, 1, 0), (17, -3, 2), (42, -4, 11)], [(55, -6, 13), (24, -3, 5)]),
+]
+
+
+class TestWitnessBound:
+    @pytest.mark.parametrize("rays, slopes", HUGE_INDEX_CASES)
+    def test_sensitize_huge_index_is_a_typed_error(self, rays, slopes):
+        with pytest.raises(ComplexError, match="MAX_WITNESS_INDEX"):
+            sensitize(ConeComplex(3, rays, [range(3)]), slopes)
+
+    def test_index_above_the_bound(self):
+        base = ConeComplex(2, [(1, 0), (1, MAX_WITNESS_INDEX + 1)], [{0, 1}])
+        with pytest.raises(ComplexError, match=f"index {MAX_WITNESS_INDEX + 1}"):
+            resolve_smooth(base)
+
+    def test_index_at_the_bound_resolves(self, monkeypatch):
+        base = ConeComplex(2, [(1, 0), (1, 200)], [{0, 1}])
+        monkeypatch.setattr(subdivide, "MAX_WITNESS_INDEX", 199)
+        with pytest.raises(ComplexError, match="lattice index 200"):
+            resolve_smooth(base)
+        monkeypatch.setattr(subdivide, "MAX_WITNESS_INDEX", 200)
+        assert len(resolve_smooth(base).refined.rays) == 201
 
 
 class TestSensitize:
