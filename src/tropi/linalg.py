@@ -155,13 +155,14 @@ def elementary_divisors(rows: Sequence[IntVector]) -> list[int]:
 def lattice_index(rows: Sequence[IntVector]) -> int:
     """Index of the lattice spanned by the rows inside its saturation.
 
-    Equals the product of the elementary divisors; 1 exactly for unimodular
+    Equals the product of the raw Smith diagonal (the gcd of the maximal
+    minors, so no divisibility chain is needed); 1 exactly for unimodular
     generator sets.  Requires the rows to be linearly independent.
     """
-    divs = elementary_divisors(rows)
-    if len(divs) != len(rows):
+    diagonal = _smith_reduce([list(r) for r in rows])[0]
+    if len(diagonal) != len(rows):
         raise LinAlgError("not a simplicial generator set")
-    return prod(divs)
+    return prod(diagonal)
 
 
 def is_unimodular(vs: Sequence[IntVector]) -> bool:

@@ -37,11 +37,14 @@ from .linalg import (
 
 
 MAX_WITNESS_INDEX = 10**6
-"""Largest lattice index of a cone that resolution splits.  The witness lists
-all index-many points of the cone's fundamental parallelepiped: one witness
-at index 10**6 takes about 9 s on a 2-vCPU Linux VM with Python 3.11, and a
-whole resolution repeats it at every step.  A cone of larger index raises
-``ComplexError`` instead of a search that cannot finish."""
+"""Largest lattice index of a cone that resolution splits, checked once on
+the largest initial index (no step raises an index).  A rank-2 cone is split
+at its Hilbert basis without listing any points, so there the bound caps the
+output at index - 1 inserted rays.  A cone of rank 3 or more is split one
+witness at a time, and each witness lists all index-many points of the
+cone's fundamental parallelepiped: one at index 10**6 takes about 9 s on a
+2-vCPU Linux VM with Python 3.11.  A cone of larger index raises
+``ComplexError`` instead of a resolution that cannot finish."""
 
 
 @dataclass(frozen=True)
@@ -339,32 +342,90 @@ def _parallelepiped_witness(gens: Sequence[IntVector]) -> IntVector:
 def resolve_smooth(c: ConeComplex) -> Subdivision:
     """Iterated stellar subdivision until every cone is unimodular.
 
-    At each step the worst cone (highest lattice index, ties lexicographic)
-    is split at the minimal fundamental-parallelepiped lattice point, read
-    off one Smith reduction of its generators in O(index) points; the pair
-    (max index, number of attaining cones) strictly decreases.  A cone of
-    index above ``MAX_WITNESS_INDEX`` raises ``ComplexError``.
+    A rank-2 cone is split at its whole Hilbert basis at once, in one
+    extended-gcd step per inserted ray: the toric minimal resolution, which
+    is what splitting one least parallelepiped point at a time reaches.  For
+    rank 3 and more, at each step the worst cone (highest lattice index, ties
+    lexicographic) is split at the minimal fundamental-parallelepiped lattice
+    point, read off one Smith reduction of its generators in O(index)
+    points; the pair (max index, number of attaining cones) strictly
+    decreases.  A cone of index above ``MAX_WITNESS_INDEX`` raises
+    ``ComplexError``.
     """
     pieces = _pieces(c)
     inserted = _resolve(c.ambient_dim, pieces)
     return make_subdivision(c, _refined(c, pieces, inserted))
 
 
+def _hilbert_basis(u: IntVector, v: IntVector) -> list[IntVector]:
+    """The Hilbert basis of the rank-2 cone(u, v), in order from u to v.
+
+    Walks in the basis b_1, b_2 of span ∩ Z^k from ``_smith_reduce``, with
+    the plane oriented so that det(u, v) > 0.  After u, each element is
+    a h - h' for the two before it (h' before u from one extended-gcd step,
+    so that det(h', u) = 1), with the least a that keeps det(., v) >= 0:
+    the Hirzebruch-Jung continued fraction.  Consecutive elements span
+    unimodular cones.
+    """
+    b1, b2 = _smith_reduce([list(u), list(v)])[1][:2]
+    i, j = next(
+        (i, j)
+        for i, j in combinations(range(len(u)), 2)
+        if b1[i] * b2[j] != b1[j] * b2[i]
+    )
+    delta = b1[i] * b2[j] - b1[j] * b2[i]
+
+    def coords(p):  # Cramer's rule on coordinates i, j; exact on the lattice
+        x, y = p[i] * b2[j] - p[j] * b2[i], b1[i] * p[j] - b1[j] * p[i]
+        return x // delta, y // delta
+
+    (x, y), end = coords(u), coords(v)
+    sign = 1 if x * end[1] > y * end[0] else -1
+
+    def cross(p, q):  # det(p, q), oriented so that det(u, v) > 0
+        return sign * (p[0] * q[1] - p[1] * q[0])
+
+    s = pow(x, -1, abs(y)) if y else x  # x s + y t = 1
+    t = (1 - x * s) // y if y else 0
+    out, prev, cur = [u], (sign * t, -sign * s), (x, y)
+    while cur != end:
+        a = -(-cross(prev, end) // cross(cur, end))
+        prev, cur = cur, (a * cur[0] - prev[0], a * cur[1] - prev[1])
+        out.append(tuple(cur[0] * p + cur[1] * q for p, q in zip(b1, b2)))
+    return out
+
+
 def _resolve(ambient_dim: int, pieces: list) -> list[IntVector]:
-    """Resolve pieces in place; returns the rays inserted, in order."""
-    mults: dict[tuple[IntVector, ...], int] = {}  # by generator tuple
-    inserted = []
+    """Resolve pieces in place; returns the rays inserted.
+
+    Rank-2 pieces are split at their whole Hilbert basis at once; the rest
+    are split one parallelepiped witness at a time.
+    """
+    mults: dict[tuple[IntVector, ...], int] = {g: lattice_index(g) for g in pieces}
+    top = max(mults.values(), default=1)
+    # no step raises an index, so the initial maximum bounds every witness
+    if top > MAX_WITNESS_INDEX:
+        raise ComplexError(
+            f"cannot resolve a cone of lattice index {top}: "
+            f"MAX_WITNESS_INDEX is {MAX_WITNESS_INDEX}"
+        )
+    inserted, kept = [], []
+    for g in pieces:
+        if len(g) != 2 or mults[g] == 1:
+            kept.append(g)
+            continue
+        hilbert = _hilbert_basis(*g)
+        inserted += hilbert[1:-1]
+        split = [tuple(sorted(pair)) for pair in zip(hilbert, hilbert[1:])]
+        mults.update(dict.fromkeys(split, 1))
+        kept += split
+    pieces[:] = kept
     while True:
         mults.update((g, lattice_index(g)) for g in pieces if g not in mults)
         # ray ids rank the ray vectors, so tuples order cones canonically
         worst = min(pieces, key=lambda g: (-mults[g], g))
         if mults[worst] == 1:
             return inserted
-        if mults[worst] > MAX_WITNESS_INDEX:
-            raise ComplexError(
-                f"cannot resolve a cone of lattice index {mults[worst]}: "
-                f"MAX_WITNESS_INDEX is {MAX_WITNESS_INDEX}"
-            )
         w = _parallelepiped_witness(worst)
         # w lies in worst, so its home cone is the face where it is positive
         nums = cone_kernel(worst, ambient_dim).numerators(w)

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -136,6 +138,20 @@ class TestSmithBasis:
         assert (len(diagonal) == len(rows)) == (det(rows) != 0)
         if det(rows):
             assert product == abs(det(rows))
+
+    @given(int_matrix)
+    def test_lattice_index_is_the_gcd_of_maximal_minors(self, rows):
+        # the raw diagonal's product, with no divisibility chain enforced
+        k = len(rows[0])
+        minors = [
+            det([[r[c] for c in cols] for r in rows])
+            for cols in combinations(range(k), len(rows))
+        ]
+        if any(minors):
+            assert lattice_index(rows) == gcd(*minors)
+        else:
+            with pytest.raises(LinAlgError):
+                lattice_index(rows)
 
 
 def reference_mat_rank(rows):

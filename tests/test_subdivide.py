@@ -1,5 +1,6 @@
 import collections
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -24,12 +25,14 @@ from tropi.linalg import (
     mat_rank,
     primitive,
     solve_rational_system,
+    vec_add,
     vec_dot,
 )
 from generators import random_complex
 from tropi import subdivide
 from tropi.subdivide import (
     MAX_WITNESS_INDEX,
+    _hilbert_basis,
     _parallelepiped_witness,
     _slice_rays,
     common_refinement,
@@ -441,6 +444,63 @@ class TestParallelepipedWitness:
             _parallelepiped_witness([(1, 0), (1, 1)])
 
 
+def _searched_hilbert_basis(u, v):
+    """The Hilbert basis of cone(u, v) by search: u, v and every nonzero
+    parallelepiped point p such that no parallelepiped point q makes p - q a
+    parallelepiped point.  The points are found by the search of
+    _searched_witness, with the coefficients i/m written over m."""
+    m = lattice_index([u, v])
+    points = set()
+    for i, j in product(range(m), repeat=2):
+        num = [i * x + j * y for x, y in zip(u, v)]
+        if (i or j) and all(x % m == 0 for x in num):
+            points.add(tuple(x // m for x in num))
+    sums = {tuple(a + b for a, b in zip(p, q)) for p in points for q in points}
+    return {u, v} | (points - sums)
+
+
+def _rank_two_cones(rng, k, count, top):
+    """count seeded primitive pairs in Z^k of lattice index 1..top, drawn
+    directly with negative coordinates, or as ((1,0), (p,m)) moved by a
+    unimodular map."""
+    while count:
+        if rng.random() < 0.5:
+            u, v = (tuple(rng.randint(-9, 9) for _ in range(k)) for _ in range(2))
+        else:
+            m = rng.randint(2, top)
+            pad = (0,) * (k - 2)
+            matrix = _unimodular(rng, k)
+            u, v = (
+                tuple(vec_dot(row, g) for row in matrix)
+                for g in [(1, 0, *pad), (rng.randint(-m, m), m, *pad)]
+            )
+        if not any(u) or not any(v) or mat_rank([u, v]) < 2:
+            continue
+        u, v = primitive(u), primitive(v)
+        if lattice_index([u, v]) <= top:
+            yield u, v
+            count -= 1
+
+
+class TestHilbertBasis:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_search(self, k):
+        rng = random.Random(40 + k)
+        for u, v in _rank_two_cones(rng, k, 30, 200):
+            for a, b in ((u, v), (v, u)):
+                walk = _hilbert_basis(a, b)
+                assert (walk[0], walk[-1]) == (a, b)
+                assert len(set(walk)) == len(walk)
+                assert set(walk) == _searched_hilbert_basis(a, b)
+                assert all(is_unimodular(pair) for pair in zip(walk, walk[1:]))
+
+    def test_continued_fraction_lengths(self):
+        # ((1,0),(1,m)) has every (1,i) between; ((1,0),(m-1,m)) one ray
+        assert _hilbert_basis((1, 0), (1, 5)) == [(1, i) for i in range(6)]
+        assert _hilbert_basis((1, 0), (4, 5)) == [(1, 0), (1, 1), (4, 5)]
+        assert _hilbert_basis((0, 1), (1, 0)) == [(0, 1), (1, 0)]
+
+
 # 3D cones in skewed coordinates: sensitize's pulled-back cuts leave pieces
 # of lattice index about 1.3e85 and 6.3e17, too many parallelepiped points
 HUGE_INDEX_CASES = [
@@ -467,6 +527,41 @@ class TestWitnessBound:
             resolve_smooth(base)
         monkeypatch.setattr(subdivide, "MAX_WITNESS_INDEX", 200)
         assert len(resolve_smooth(base).refined.rays) == 201
+
+
+class TestBoundBeforeAnySplit:
+    """The bound is checked once, on the largest initial index, before any
+    cone is split."""
+
+    @pytest.fixture(autouse=True)
+    def no_splits(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a cone was split before the bound was checked")
+
+        monkeypatch.setattr(subdivide, "_hilbert_basis", fail)
+        monkeypatch.setattr(subdivide, "_parallelepiped_witness", fail)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (MAX_WITNESS_INDEX + 1, MAX_WITNESS_INDEX + 7),
+            (MAX_WITNESS_INDEX + 7, MAX_WITNESS_INDEX + 1),
+            (2, MAX_WITNESS_INDEX + 3),
+        ],
+    )
+    def test_fan_names_the_larger_index(self, a, b):
+        # cone((1,0),(1,a)) has index a, cone((1,a),(-1,b-a)) has index b
+        fan = ConeComplex(2, [(1, 0), (1, a), (-1, b - a)], [{0, 1}, {1, 2}])
+        for refine in (resolve_smooth, lambda c: sensitize(c, [])):
+            with pytest.raises(ComplexError, match=f"index {max(a, b)}: MAX_"):
+                refine(fan)
+
+    def test_just_above_the_bound_fails_fast(self):
+        base = ConeComplex(2, [(1, 0), (1, MAX_WITNESS_INDEX + 1)], [{0, 1}])
+        start = time.perf_counter()
+        with pytest.raises(ComplexError, match=f"index {MAX_WITNESS_INDEX + 1}"):
+            resolve_smooth(base)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestSensitize:
@@ -798,6 +893,33 @@ class TestRefinementsAgainstReference:
                 # indices too large to resolve, at the reference too
                 if len(gens) == 2:
                     _agree("sensitize", c, [center, sub.rays[len(sub.rays) // 2]])
+
+    def test_rank_two_at_higher_index(self):
+        """Cones of index up to 500, and 2D fans of several cones that share
+        rays, split at their Hilbert basis, against the witness loop."""
+        rng = random.Random(31)
+        for _ in range(36):
+            m = rng.randint(2, 500)
+            gens = [(1, 0), (rng.randint(-m, m), m)]
+            if rng.random() < 0.5:
+                gens = [(*g, 0) for g in gens]
+            c = _mapped_cone(rng, [primitive(g) for g in gens])
+            sub = _agree("resolve_smooth", c)[0]
+            _agree("sensitize", c, [])
+            _agree("sensitize", c, [sub.rays[len(sub.rays) // 3], c.rays[0]])
+        drawn = 0
+        while drawn < 16:
+            vecs = [(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(6)]
+            rays = angular_sorted(list({primitive(v) for v in vecs if any(v)}))
+            pairs = zip(range(len(rays)), [*range(1, len(rays)), 0])
+            cones = [{i, j} for i, j in pairs if det([rays[i], rays[j]]) > 0]
+            if len(cones) < 3:
+                continue
+            fan = ConeComplex(2, rays, cones)
+            _agree("resolve_smooth", fan)
+            _agree("sensitize", fan, [])
+            _agree("sensitize", fan, [vec_add(*rays[:2])])
+            drawn += 1
 
     def test_random_3d_cones(self):
         """Cones of index 2-40 whose worst cones tie during resolution, so
