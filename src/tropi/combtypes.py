@@ -549,9 +549,9 @@ def pushforward_type(sub, t: CombinatorialType) -> CombinatorialType:
     g = t.graph
 
     def image(c):
-        if c not in sub.cone_image:
+        if not sub.refined.has_cone(c):
             raise TypeProblem(f"{sorted(c)} is not a cone of the refined complex")
-        return sub.cone_image[c]
+        return sub.image(c)
 
     vertex_cones = {v: image(c) for v, c in t.vertex_cones.items()}
     edge_cones = {e: image(c) for e, c in t.edge_cones.items()}

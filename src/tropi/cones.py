@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 from itertools import combinations
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
@@ -139,19 +139,18 @@ class ConeComplex:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rays", canon_rays)
         object.__setattr__(self, "max_cones", canon_cones)
-        # not a field: equality, hashing and serialization ignore it
-        object.__setattr__(
-            self,
-            "max_kernels",
-            {
-                frozenset(mc): cone_kernel(
-                    tuple(canon_rays[i] for i in mc), ambient_dim
-                )
-                for mc in canon_cones
-            },
-        )
+
+    @cached_property
+    def max_kernels(self) -> dict[Cone, ConeKernel]:
+        """The kernel of each maximal cone, in ``max_cones`` order, built on
+        first use.  Not a field: equality, hashing and serialization ignore it."""
+        return {
+            frozenset(mc): cone_kernel(tuple(self.generators(mc)), self.ambient_dim)
+            for mc in self.max_cones
+        }
 
     def _validate(self) -> None:
+        # every kernel first: dependent generators fail before any pair does
         cones = list(self.max_kernels)
         for a in range(len(cones)):
             for b in range(a + 1, len(cones)):

@@ -107,33 +107,37 @@ def _cone_order(c: ConeComplex) -> list[Cone]:
     return sorted(c.cones(), key=lambda s: (len(s), sorted(s)))
 
 
-def subdivision_to_dict(s: Subdivision) -> dict:
+def _image_pairs(s: Subdivision) -> list[list[int]]:
     base_idx = {c: i for i, c in enumerate(_cone_order(s.base))}
-    ref_order = _cone_order(s.refined)
+    return [[i, base_idx[s.image(c)]] for i, c in enumerate(_cone_order(s.refined))]
+
+
+def subdivision_to_dict(s: Subdivision) -> dict:
     return {
         "base": complex_to_dict(s.base),
         "refined": complex_to_dict(s.refined),
-        "cone_image": [
-            [i, base_idx[s.cone_image[c]]] for i, c in enumerate(ref_order)
-        ],
+        "cone_image": _image_pairs(s),
         "warnings": list(s.warnings),
     }
 
 
 def subdivision_from_dict(data: dict) -> Subdivision:
+    """The stored ``cone_image`` must be the one the two complexes determine,
+    and each refined cone must lie in its image."""
     with _payload("subdivision"):
         base = complex_from_dict(data["base"])
         refined = complex_from_dict(data["refined"])
-        base_order = _cone_order(base)
-        ref_order = _cone_order(refined)
-        pairs = [_int_vector(pair) for pair in data["cone_image"]]
-        if any(len(p) != 2 or min(p) < 0 for p in pairs):
-            raise SerializationError("cone_image entries must be index pairs")
-        cone_image = {ref_order[i]: base_order[j] for i, j in pairs}
-        warnings = tuple(data.get("warnings", []))
-    if len(cone_image) != len(ref_order):
-        raise SerializationError("cone_image must cover every refined cone")
-    return Subdivision(base, refined, cone_image, warnings)
+        stored = [list(_int_vector(pair)) for pair in data["cone_image"]]
+        s = Subdivision(base, refined, tuple(data.get("warnings", [])))
+    for mc in refined.max_cones:
+        kern = base.kernel(s.image(frozenset(mc)))
+        for ray in refined.generators(mc):
+            nums = kern.numerators(ray)
+            if nums is None or any(x < 0 for x in nums):
+                raise ComplexError(f"refined cone {list(mc)} lies in no base cone")
+    if stored != _image_pairs(s):
+        raise SerializationError("cone_image disagrees with the two complexes")
+    return s
 
 
 # -- combinatorial types -----------------------------------------------------

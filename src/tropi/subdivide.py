@@ -49,40 +49,35 @@ cone's fundamental parallelepiped: one at index 10**6 takes about 9 s on a
 
 @dataclass(frozen=True)
 class Subdivision:
+    """A refinement of base; ``image`` derives its map on cones from the fans."""
+
     base: ConeComplex
     refined: ConeComplex
-    cone_image: dict[Cone, Cone]
     warnings: tuple[str, ...] = ()
 
     @property
     def is_identity(self) -> bool:
         return self.base == self.refined
 
-
-def identity_subdivision(c: ConeComplex) -> Subdivision:
-    return Subdivision(c, c, {cone: cone for cone in c.cones()})
-
-
-def make_subdivision(
-    base: ConeComplex, refined: ConeComplex, warnings: tuple[str, ...] = ()
-) -> Subdivision:
-    """Pair a complex with a refinement of it, locating each refined cone."""
-    image: dict[Cone, Cone] = {}
-    for cone in refined.cones():
-        target = minimal_containing_cone(base, refined.barycenter(cone))
+    def image(self, cone: Cone) -> Cone:
+        """The least base cone containing cone, located by its barycenter."""
+        target = minimal_containing_cone(self.base, self.refined.barycenter(cone))
         if target is None:
             raise ComplexError(
                 "refined complex is not supported inside the base complex"
             )
-        image[cone] = target
-    return Subdivision(base, refined, image, warnings)
+        return target
+
+
+def identity_subdivision(c: ConeComplex) -> Subdivision:
+    return Subdivision(c, c)
 
 
 def compose(s1: Subdivision, s2: Subdivision) -> Subdivision:
+    """s2 after s1; a cone's relative interior lies in that of its image."""
     if s2.base != s1.refined:
         raise ComplexError("subdivisions do not chain: base/refined mismatch")
-    image = {c: s1.cone_image[mid] for c, mid in s2.cone_image.items()}
-    return Subdivision(s1.base, s2.refined, image, s1.warnings + s2.warnings)
+    return Subdivision(s1.base, s2.refined, s1.warnings + s2.warnings)
 
 
 # -- stellar subdivision --------------------------------------------------
@@ -107,8 +102,8 @@ def stellar_at_point(c: ConeComplex, v: Sequence[int]) -> Subdivision:
     w = primitive(v)
     pieces = _pieces(c)
     if not _star(c.ambient_dim, pieces, w):
-        return make_subdivision(c, c, (f"point {w} is already a ray",))
-    return make_subdivision(c, _refined(c, pieces, [w]))
+        return Subdivision(c, c, (f"point {w} is already a ray",))
+    return Subdivision(c, _refined(c, pieces, [w]))
 
 
 def _star(ambient_dim: int, pieces: list, w: IntVector) -> bool:
@@ -137,7 +132,7 @@ def stellar(c: ConeComplex, sigma: Cone) -> Subdivision:
         raise ComplexError(f"{sorted(sigma)} is not a positive-dimensional cone")
     if len(sigma) == 1:
         warning = "stellar subdivision at a ray is the identity"
-        return make_subdivision(c, c, (warning,))
+        return Subdivision(c, c, (warning,))
     return stellar_at_point(c, c.barycenter(sigma))
 
 
@@ -354,7 +349,7 @@ def resolve_smooth(c: ConeComplex) -> Subdivision:
     """
     pieces = _pieces(c)
     inserted = _resolve(c.ambient_dim, pieces)
-    return make_subdivision(c, _refined(c, pieces, inserted))
+    return Subdivision(c, _refined(c, pieces, inserted))
 
 
 def _hilbert_basis(u: IntVector, v: IntVector) -> list[IntVector]:
@@ -474,5 +469,5 @@ def sensitize(
     inserted = [s for s in slope_list if _star(target.ambient_dim, pieces, s)]
     inserted += _resolve(target.ambient_dim, pieces)
     if rank > 2:  # slicing keeps only the rays that cones use
-        return make_subdivision(target, _assemble(target.ambient_dim, pieces))
-    return make_subdivision(target, _refined(target, pieces, inserted))
+        return Subdivision(target, _assemble(target.ambient_dim, pieces))
+    return Subdivision(target, _refined(target, pieces, inserted))

@@ -278,6 +278,42 @@ class TestSubdivisionCommands:
         assert "[0, 1] is not a cone" in result.summary
         assert not os.path.exists(out)
 
+    def _pushforward_tampered(self, files, edit):
+        sub, t = bivalent_type()
+        data = subdivision_to_dict(sub)
+        edit(data)
+        sub_path = os.path.join(files["dir"], "tampered.json")
+        save_json(sub_path, data)
+        type_path = os.path.join(files["dir"], "bivalent.json")
+        save_json(type_path, type_to_dict(t))
+        out = os.path.join(files["dir"], "pushed.json")
+        result = run(
+            ["pushforward", "--subdivision", sub_path, "--type", type_path,
+             "--out", out]
+        )
+        assert not os.path.exists(out)
+        return result
+
+    def test_pushforward_image_contradicting_the_fans_exit_1(self, files):
+        def to_origin(data):
+            # the ray (1, 1) is the first refined cone inside the base's
+            # two-cone (base cone 3); point it at the origin instead
+            next(p for p in data["cone_image"] if p[1] == 3)[1] = 0
+
+        result = self._pushforward_tampered(files, to_origin)
+        assert result.exit_code == 1
+        assert "cone_image disagrees" in result.summary
+
+    def test_pushforward_base_unrelated_to_refined_exit_2(self, files):
+        def unrelated(data):
+            data["base"] = complex_to_dict(
+                ConeComplex(2, [(-1, 0), (0, -1)], [{0, 1}])
+            )
+
+        result = self._pushforward_tampered(files, unrelated)
+        assert result.exit_code == 2
+        assert "not supported inside" in result.summary
+
 
 class TestEnumerate:
     def test_writes_types_and_index(self, files):

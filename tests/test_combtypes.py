@@ -961,7 +961,7 @@ class TestFractionalCoordinatesAgainstReference:
                 subs.append(stellar_at_point(fan, p))
             # a "refinement" with a ray outside the base support
             outside = ConeComplex(fan.ambient_dim, [(-1,) * fan.ambient_dim], [{0}])
-            subs.append(Subdivision(fan, outside, {}))
+            subs.append(Subdivision(fan, outside))
             for sub in subs:
                 for _ in range(40):
                     d = [rng.randint(-2, 2) for _ in sub.refined.rays]

@@ -13,6 +13,7 @@ from tropi.cones import (
     cone_kernel,
     coordinate_projection,
     evaluate_pl,
+    locate,
     minimal_containing_cone,
 )
 from tropi.linalg import (
@@ -82,6 +83,19 @@ class TestValidation:
         with pytest.raises(ComplexError):
             ConeComplex(2, [(1, 0), (0, 1), (1, 1)], [{0, 1, 2}])
 
+    def test_dependent_generators_before_any_pair(self, monkeypatch):
+        """Every kernel is built before the first pair is checked, so a
+        dependent cone is reported as such even when it sorts last."""
+
+        def fail(self, c1, c2):
+            raise AssertionError("pairwise check reached")
+
+        monkeypatch.setattr(ConeComplex, "_pair_is_common_face", fail)
+        with pytest.raises(ComplexError, match="linearly dependent"):
+            ConeComplex(
+                2, [(-1, 0), (0, 1), (1, 0), (1, 1)], [{0, 1}, {1, 2, 3}]
+            )
+
     def test_canonical_equality(self):
         a = ConeComplex(2, [(0, 1), (1, 0)], [{0, 1}])
         b = ConeComplex(2, [(1, 0), (0, 1)], [{1, 0}])
@@ -104,6 +118,18 @@ class TestMinimalContainingCone:
 
     def test_origin(self):
         assert minimal_containing_cone(quadrant(), (0, 0)) == ORIGIN
+
+    def test_locate_scans_max_cones_in_order(self):
+        """A point on a shared ray is read over the first maximal cone that
+        contains it, in max_cones order."""
+        c = ConeComplex(
+            2, [(1, 0), (1, 1), (0, 1), (-1, 1)], [{2, 3}, {1, 2}, {0, 1}]
+        )
+        # rays sorted: (-1, 1), (0, 1), (1, 0), (1, 1)
+        assert c.max_cones == ((0, 1), (1, 3), (2, 3))
+        assert locate(c, (0, 2))[0] == (0, 1)
+        assert locate(c, (3, 3))[0] == (1, 3)
+        assert locate(c, (2, 1))[0] == (2, 3)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 9), st.integers(0, 9))

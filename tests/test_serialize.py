@@ -26,8 +26,14 @@ from tropi.serialize import (
     type_to_dict,
 )
 from tropi.combtypes import TypeProblem
-from tropi.cones import ComplexError
-from tropi.subdivide import identity_subdivision, sensitize, stellar
+from tropi.cones import ComplexError, ConeComplex
+from tropi.subdivide import (
+    Subdivision,
+    identity_subdivision,
+    sensitize,
+    stellar,
+    stellar_at_point,
+)
 
 from fixtures import golden_lambda, golden_type, quadrant
 from generators import (
@@ -188,6 +194,30 @@ class TestBadPayloads:
             data["cone_image"][-1] = bad
             with pytest.raises(SerializationError):
                 subdivision_from_dict(data)
+
+    def test_subdivision_image_contradicting_the_fans(self):
+        s = stellar_at_point(quadrant(), (1, 1))
+        assert s.image(frozenset(s.refined.max_cones[-1])) == frozenset({0, 1})
+        data = _json_round(subdivision_to_dict(s))
+        assert data["cone_image"][-1][1] == 3  # base cones: 0, {0}, {1}, {0, 1}
+        data["cone_image"][-1][1] = 0
+        with pytest.raises(SerializationError, match="cone_image disagrees"):
+            subdivision_from_dict(data)
+
+    def test_subdivision_base_unrelated_to_refined(self):
+        data = _json_round(subdivision_to_dict(stellar_at_point(quadrant(), (1, 1))))
+        data["base"] = complex_to_dict(ConeComplex(2, [(-1, 0), (0, -1)], [{0, 1}]))
+        with pytest.raises(ComplexError, match="not supported inside"):
+            subdivision_from_dict(data)
+
+    def test_subdivision_refined_cone_across_base_cones(self):
+        # cone((1, 1), (0, 1)) crosses the base ray (1, 2); its table entry
+        # is the one the two fans determine
+        base = ConeComplex(2, [(1, 0), (1, 2), (0, 1)], [{0, 1}, {1, 2}])
+        refined = stellar_at_point(quadrant(), (1, 1)).refined
+        data = _json_round(subdivision_to_dict(Subdivision(base, refined)))
+        with pytest.raises(ComplexError, match="lies in no base cone"):
+            subdivision_from_dict(data)
 
     def test_complex_cone_on_missing_ray(self):
         data = complex_to_dict(quadrant())

@@ -32,6 +32,7 @@ from generators import random_complex
 from tropi import subdivide
 from tropi.subdivide import (
     MAX_WITNESS_INDEX,
+    Subdivision,
     _hilbert_basis,
     _parallelepiped_witness,
     _slice_rays,
@@ -40,7 +41,6 @@ from tropi.subdivide import (
     extreme_filter,
     identity_subdivision,
     intersect_simplicial,
-    make_subdivision,
     resolve_smooth,
     sensitize,
     slice_by_hyperplane,
@@ -123,32 +123,37 @@ class TestStellarAtPoint:
         assert (1, 2) in s.refined.rays
 
 
+def images(s):
+    """A subdivision's map on cones, as a dict over every refined cone."""
+    return {cone: s.image(cone) for cone in s.refined.cones()}
+
+
 class TestConeImage:
     def test_images_contain_cones(self):
         s = stellar_at_point(quadrant(), (1, 2))
-        for cone, image in s.cone_image.items():
+        for cone, image in images(s).items():
             assert minimal_containing_cone(
                 s.base, s.refined.barycenter(cone)
             ) == image
 
     def test_origin_maps_to_origin(self):
         s = stellar_at_point(quadrant(), (1, 2))
-        assert s.cone_image[ORIGIN] == ORIGIN
+        assert s.image(ORIGIN) == ORIGIN
 
 
 class TestCompose:
     def test_identity_neutral(self):
         s = stellar_at_point(quadrant(), (1, 2))
-        assert compose(identity_subdivision(quadrant()), s).cone_image == s.cone_image
-        assert compose(s, identity_subdivision(s.refined)).cone_image == s.cone_image
+        assert images(compose(identity_subdivision(quadrant()), s)) == images(s)
+        assert images(compose(s, identity_subdivision(s.refined))) == images(s)
 
     def test_two_stellars(self):
         s1 = stellar_at_point(quadrant(), (1, 1))
         s2 = stellar_at_point(s1.refined, (2, 1))
         comp = compose(s1, s2)
         assert len(comp.refined.rays) == 4
-        direct = make_subdivision(quadrant(), s2.refined)
-        assert comp.cone_image == direct.cone_image
+        direct = Subdivision(quadrant(), s2.refined)
+        assert images(comp) == images(direct)
 
     def test_mismatch(self):
         s = stellar_at_point(quadrant(), (1, 1))
@@ -608,7 +613,7 @@ class TestSupportPreservation:
             )
             cone = minimal_containing_cone(s.refined, p)
             assert cone is not None
-            image = s.cone_image[cone]
+            image = s.image(cone)
             assert s.base.cone_coords(image, p) is not None
 
 
@@ -690,6 +695,67 @@ class TestRefinementsAreValidComplexes:
         s = sensitize(target, [(1, 1, 2), (1, 2, 0)])
         assert (1, 1, 2) in s.refined.rays and (1, 2, 0) in s.refined.rays
 
+    def test_kernels_not_built(self):
+        """A refinement builds no kernel of its own maximal cones: nothing
+        in resolve_smooth or sensitize reads them."""
+        outs = [
+            resolve_smooth(ConeComplex(2, [(1, 0), (1, 50)], [{0, 1}])),
+            sensitize(quadrant(), [(1, 2), (3, 1)]),
+            sensitize(octant(), [(1, 2, 5), (5, 1, 2)]),
+        ]
+        for s in outs:
+            assert s.refined is not s.base
+            assert "max_kernels" not in vars(s.refined)
+
+
+def _check_images(s):
+    """The map on cones against what defines it, without locating points:
+    each refined cone c lies in s.image(c), and c's barycenter lies in the
+    relative interior of s.image(c)."""
+    for c in s.refined.cones():
+        image = s.image(c)
+        kern = s.base.kernel(image)
+        for g in s.refined.generators(c):
+            nums = kern.numerators(g)
+            assert nums is not None and all(x >= 0 for x in nums), (c, image)
+        nums = kern.numerators(s.refined.barycenter(c))
+        assert nums is not None and all(x > 0 for x in nums), (c, image)
+
+
+def _check_chain(s1, s2):
+    s = compose(s1, s2)
+    _check_images(s)
+    for c in s2.refined.cones():
+        assert s.image(c) == s1.image(s2.image(c))
+
+
+class TestImageOracle:
+    def test_seeded_refinements_and_chains(self):
+        checked = 0
+        for fan, p, q, sigma, _ in _seeded_draws():
+            s1 = stellar_at_point(fan, p)
+            s2 = stellar_at_point(s1.refined, q)
+            s3 = resolve_smooth(s2.refined)
+            outs = [s1, s2, s3, sensitize(fan, []), sensitize(fan, [p, q])]
+            if sigma is not None:
+                outs.append(stellar(fan, sigma))
+            for s in outs:
+                _check_images(s)
+            _check_chain(s1, s2)
+            _check_chain(compose(s1, s2), s3)
+            _check_chain(s1, compose(s2, s3))
+            _check_chain(identity_subdivision(fan), s1)
+            checked += len(outs)
+        assert checked == 136
+
+    def test_high_index_and_octant(self):
+        cone = ConeComplex(2, [(1, 0), (1, 300)], [{0, 1}])
+        s = resolve_smooth(cone)
+        _check_images(s)
+        _check_images(sensitize(octant(), [(1, 2, 1), (2, 1, 1)]))
+        half = stellar_at_point(cone, (1, 150))
+        _check_chain(half, resolve_smooth(half.refined))
+
 
 # -- the id-based refinements as they were: each step rebuilds the complex --
 
@@ -736,7 +802,7 @@ def reference_stellar_at_point(c, v):
     w = primitive(v)
     refined = reference_star(c, w)
     warnings = (f"point {w} is already a ray",) if refined is c else ()
-    return make_subdivision(c, refined, warnings)
+    return Subdivision(c, refined, warnings)
 
 
 def reference_stellar(c, sigma):
@@ -745,12 +811,12 @@ def reference_stellar(c, sigma):
         raise ComplexError(f"{sorted(sigma)} is not a positive-dimensional cone")
     if len(sigma) == 1:
         warning = "stellar subdivision at a ray is the identity"
-        return make_subdivision(c, c, (warning,))
+        return Subdivision(c, c, (warning,))
     return reference_stellar_at_point(c, c.barycenter(sigma))
 
 
 def reference_resolve_smooth(c):
-    return make_subdivision(c, reference_resolve(c))
+    return Subdivision(c, reference_resolve(c))
 
 
 def reference_slice_by_hyperplane(c, h):
@@ -804,7 +870,7 @@ def reference_sensitize(target, slopes):
                     current = reference_slice_by_hyperplane(current, h)
     for s in slope_list:
         current = reference_star(current, s)
-    return make_subdivision(target, reference_resolve(current))
+    return Subdivision(target, reference_resolve(current))
 
 
 def _outcome(f, *args):
@@ -817,7 +883,7 @@ def _outcome(f, *args):
         return type(exc), str(exc)
     if isinstance(out, ConeComplex):
         return out, out.rays
-    return out.refined, out.refined.rays, out.cone_image, out.warnings, (
+    return out.refined, out.refined.rays, images(out), out.warnings, (
         out.refined is out.base
     )
 
