@@ -3,14 +3,14 @@
 Stellar subdivision at cones and points, hyperplane slicing, common
 refinement, resolution to unimodular cones, and the slope-sensitive
 subdivision pipeline.  All constructions are deterministic: ties are broken
-lexicographically and non-simplicial pieces are triangulated by fanning out
-from the lexicographically smallest extreme ray (pulling triangulation).
+lexicographically, and a non-simplicial piece of any dimension gets the
+pulling triangulation at its lexicographically least ray, with its facets
+read off integer walls (kernel rows and the cutting hyperplane).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -23,11 +23,10 @@ from .cones import (
     first_containing,
     minimal_containing_cone,
 )
-from .feasibility import LinearSystem, _normalize, fm_feasible
+from .feasibility import _normalize
 from .linalg import (
     IntVector,
     _smith_reduce,
-    det,
     is_zero,
     lattice_index,
     mat_rank,
@@ -39,12 +38,18 @@ from .linalg import (
 MAX_WITNESS_INDEX = 10**6
 """Largest lattice index of a cone that resolution splits, checked once on
 the largest initial index (no step raises an index).  A rank-2 cone is split
-at its Hilbert basis without listing any points, so there the bound caps the
-output at index - 1 inserted rays.  A cone of rank 3 or more is split one
+at its Hilbert basis without listing any points, and there the output is
+capped by ``MAX_INSERTED_RAYS`` instead.  A cone of rank 3 or more is split one
 witness at a time, and each witness lists all index-many points of the
 cone's fundamental parallelepiped: one at index 10**6 takes about 9 s on a
 2-vCPU Linux VM with Python 3.11.  A cone of larger index raises
 ``ComplexError`` instead of a resolution that cannot finish."""
+
+MAX_INSERTED_RAYS = 10**5
+"""Most rays one resolution inserts, counted as cones split (in rank 2 by
+their Hilbert bases), so going over raises ``ComplexError`` before any
+complex is built.  At the cap, cone((1,0), (1,10**5)) resolves in about
+1.5 s with 122 MiB peak RSS (2-vCPU Linux VM, Python 3.11)."""
 
 
 @dataclass(frozen=True)
@@ -162,26 +167,28 @@ def _slice_rays(
     return out
 
 
-def extreme_filter(rays: list[IntVector]) -> list[IntVector]:
-    """Drop rays expressible as nonnegative combinations of the others."""
+def _facets(rays: list, walls: Sequence[IntVector], rank: int) -> list:
+    """The facets of cone(rays): its rays on each wall, when they span rank - 1."""
+    faces = dict.fromkeys(tuple(r for r in rays if vec_dot(w, r) == 0) for w in walls)
+    return [f for f in faces if mat_rank(f) == rank - 1]
+
+
+def extreme_filter(rays: list[IntVector], walls: Sequence[IntVector]) -> list:
+    """The extreme rays of cone(rays), sorted.
+
+    walls are integer functionals >= 0 on the cone, among them a normal of
+    every facet.  A ray is extreme iff no other ray lies on every facet
+    through it.
+    """
     rays = sorted(set(rays))
-    out = []
-    for i, r in enumerate(rays):
-        others = [s for j, s in enumerate(rays) if j != i]
-        if not others:
-            out.append(r)
-            continue
-        sys = LinearSystem(len(others))
-        k = len(r)
-        for coord in range(k):
-            sys.add_eq([s[coord] for s in others], r[coord])
-        for v in range(len(others)):
-            unit = [0] * len(others)
-            unit[v] = 1
-            sys.add_ge(unit, 0)
-        if fm_feasible(sys) is None:
-            out.append(r)
-    return out
+    facets = _facets(rays, walls, mat_rank(rays))
+    on = [set(rays).intersection(*(f for f in facets if r in f)) for r in rays]
+    return [r for r, face in zip(rays, on) if face == {r}]
+
+
+def _walls(*cones: Sequence[IntVector]) -> tuple[IntVector, ...]:
+    """Each simplicial cone's kernel rows: >= 0 on it, normal to its facets."""
+    return sum((cone_kernel(tuple(g), len(g[0])).dual for g in cones), ())
 
 
 def intersect_simplicial(
@@ -200,53 +207,31 @@ def intersect_simplicial(
         rays = _slice_rays(rays, l, 1)
         if not rays:
             return []
-    return extreme_filter(rays)
+    return extreme_filter(rays, _walls(gens1, gens2))
 
 
-def triangulate_cone(rays: list[IntVector]) -> list[tuple[IntVector, ...]]:
-    """Split a pointed cone (given by extreme rays) into simplicial cones.
+def triangulate_cone(
+    rays: list[IntVector], walls: Sequence[IntVector]
+) -> list[tuple[IntVector, ...]]:
+    """Split a pointed cone, given by its extreme rays, into simplicial cones.
 
-    Simplicial input passes through; otherwise the rays are put in cyclic
-    order around the interior axis a = sum of the rays, by the sign of
-    det(a, u, v) on three coordinates onto which the span projects
-    isomorphically, and fanned out from the least ray into sorted tuples.
-    Cones of dimension 4 and above with non-simplicial shape are out of scope.
+    walls are as for ``extreme_filter``.  The pulling triangulation (De
+    Loera, Rambau and Santos, *Triangulations*, Section 4.3): the least ray
+    joined to the triangulation of each facet without it, so cones that
+    share a face triangulate it alike.  Sorted tuples, in sorted order.
     """
     rays = sorted(set(rays))
-    if not rays:
-        return []
     rank = mat_rank(rays)
     if rank == len(rays):
-        return [tuple(rays)]
-    if rank > 3:
-        raise ComplexError("non-simplicial cones above dimension 3 unsupported")
-    if rank < 3:
-        raise ComplexError(f"rays {rays} are not extreme in a 3-dimensional cone")
-    coords = next(
-        c
-        for c in combinations(range(len(rays[0])), 3)
-        if mat_rank([[r[i] for i in c] for r in rays]) == 3
+        return [tuple(rays)] if rays else []
+    if extreme_filter(rays, walls) != rays:
+        raise ComplexError(f"rays {rays} are not extreme in a {rank}-dimensional cone")
+    return sorted(
+        (rays[0], *simplex)
+        for facet in _facets(rays, walls, rank)
+        if rays[0] not in facet
+        for simplex in triangulate_cone(facet, walls)
     )
-    proj = {r: [r[i] for i in coords] for r in rays}
-    axis = [sum(col) for col in zip(*proj.values())]
-    apex = rays[0]
-
-    def turn(u, v) -> int:
-        """Sign of det(a, u, v): 1 when v lies less than a half-turn after u."""
-        d = det([axis, proj[u], proj[v]])
-        return (d > 0) - (d < 0)
-
-    def cmp(u, v) -> int:
-        # by half-turn from the apex, (0, pi) before pi before (pi, 2 pi),
-        # then by turn within it
-        return turn(apex, v) - turn(apex, u) or turn(v, u)
-
-    cyc = [apex, *sorted(rays[1:], key=cmp_to_key(cmp))]
-    # extreme rays of a pointed cone turn the same way at every corner
-    turns = zip(cyc, cyc[1:] + cyc[:1], cyc[2:] + cyc[:2])
-    if any(det([proj[u], proj[v], proj[w]]) <= 0 for u, v, w in turns):
-        raise ComplexError(f"rays {rays} are not extreme in a 3-dimensional cone")
-    return [(apex, *sorted(pair)) for pair in zip(cyc[1:], cyc[2:])]
 
 
 def _assemble(ambient_dim: int, pieces: list, ray_set=None) -> ConeComplex:
@@ -273,11 +258,11 @@ def _slice(cones: list, h: Sequence) -> list:
         if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
             pieces.append(gens)
             continue
-        # already extreme: kept generators and cuts inside 2-faces of gens
+        # already extreme: kept generators and cuts inside 2-faces of gens;
+        # each side's facets lie on h or on a facet of gens
         for side in (1, -1):
-            part = _slice_rays(list(gens), h, side)
-            if part and mat_rank(part) == mat_rank(gens):
-                pieces.extend(triangulate_cone(part))
+            walls = _walls(gens) + (tuple(side * x for x in h),)
+            pieces.extend(triangulate_cone(_slice_rays(list(gens), h, side), walls))
     return pieces
 
 
@@ -296,7 +281,7 @@ def common_refinement(s1: ConeComplex, s2: ConeComplex) -> ConeComplex:
         for gens2 in _pieces(s2):
             xr = intersect_simplicial(gens1, gens2)
             if xr:
-                pieces.extend(triangulate_cone(xr))
+                pieces.extend(triangulate_cone(xr, _walls(gens1, gens2)))
     result = _assemble(s1.ambient_dim, pieces)
     # coverage check: every cone of either fan is filled by the refinement
     for src in (s1, s2):
@@ -344,8 +329,8 @@ def resolve_smooth(c: ConeComplex) -> Subdivision:
     lexicographic) is split at the minimal fundamental-parallelepiped lattice
     point, read off one Smith reduction of its generators in O(index)
     points; the pair (max index, number of attaining cones) strictly
-    decreases.  A cone of index above ``MAX_WITNESS_INDEX`` raises
-    ``ComplexError``.
+    decreases.  A cone of index above ``MAX_WITNESS_INDEX``, or more than
+    ``MAX_INSERTED_RAYS`` new rays, raises ``ComplexError``.
     """
     pieces = _pieces(c)
     inserted = _resolve(c.ambient_dim, pieces)
@@ -411,6 +396,7 @@ def _resolve(ambient_dim: int, pieces: list) -> list[IntVector]:
             continue
         hilbert = _hilbert_basis(*g)
         inserted += hilbert[1:-1]
+        _check_inserted(inserted)
         split = [tuple(sorted(pair)) for pair in zip(hilbert, hilbert[1:])]
         mults.update(dict.fromkeys(split, 1))
         kept += split
@@ -426,6 +412,14 @@ def _resolve(ambient_dim: int, pieces: list) -> list[IntVector]:
         nums = cone_kernel(worst, ambient_dim).numerators(w)
         _split(pieces, {g for g, x in zip(worst, nums) if x > 0}, w)
         inserted.append(w)
+        _check_inserted(inserted)
+
+
+def _check_inserted(inserted: list) -> None:
+    if len(inserted) > MAX_INSERTED_RAYS:
+        raise ComplexError(
+            f"resolution inserts more than MAX_INSERTED_RAYS = {MAX_INSERTED_RAYS} rays"
+        )
 
 
 # -- slope-sensitive subdivision ------------------------------------------

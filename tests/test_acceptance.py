@@ -23,7 +23,8 @@ from tropi.combtypes import (
 from tropi.cones import minimal_containing_cone
 from tropi.enumeration import DegreeCatalogue, enumerate_types, sensitize_for_data
 from tropi.feasibility import fm_feasible, simplex_feasible
-from tropi.linalg import is_unimodular, lattice_index, solve_rational_system
+from tropi.linalg import is_unimodular, lattice_index
+from reference_linalg import solve_rational_system
 from tropi.serialize import (
     catalogue_from_dict,
     catalogue_to_dict,

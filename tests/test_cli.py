@@ -39,7 +39,7 @@ from generators import (
     random_realization,
 )
 from test_combtypes import bivalent_type, off_fan_type
-from test_subdivide import HUGE_INDEX_CASES
+from test_subdivide import HUGE_INDEX_CASES, orthant_4d
 from test_smoothing import broken_face_type, ray_type
 
 
@@ -193,6 +193,41 @@ class TestSubdivisionCommands:
         assert proc.returncode == 2
         assert "validation error" in proc.stderr
         assert "MAX_WITNESS_INDEX" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not os.path.exists(out)
+
+    def test_sensitize_four_dimensional_exit_0(self, files):
+        target = os.path.join(files["dir"], "orthant.json")
+        save_json(target, complex_to_dict(orthant_4d()))
+        slope_file = os.path.join(files["dir"], "slopes4.json")
+        save_json(slope_file, slopes_to_dict([(1, 2, 1, 1), (2, 1, 1, 1)]))
+        out = os.path.join(files["dir"], "sub.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropi.cli", "sensitize", "--target", target,
+             "--slopes", slope_file, "--out", out],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "595 rays, 2765 maximal cones" in proc.stdout
+        assert os.path.exists(out)
+
+    def test_sensitize_too_many_inserted_rays_exit_2(self, files):
+        target = os.path.join(files["dir"], "cone.json")
+        payload = {"ambient_dim": 2, "rays": [[1, 0], [1, 10**6]], "max_cones": [[0, 1]]}
+        save_json(target, payload)
+        slope_file = os.path.join(files["dir"], "no_slopes.json")
+        save_json(slope_file, slopes_to_dict([]))
+        out = os.path.join(files["dir"], "sub.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropi.cli", "sensitize", "--target", target,
+             "--slopes", slope_file, "--out", out],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "validation error" in proc.stderr
+        assert "MAX_INSERTED_RAYS" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not os.path.exists(out)
 

@@ -31,7 +31,8 @@ from tropi.combtypes import (
     validate_type,
 )
 from tropi.enumeration import DegreeCatalogue, enumerate_types
-from tropi.linalg import is_zero, primitive, solve_rational_system, vec_dot
+from tropi.linalg import is_zero, primitive, vec_dot
+from reference_linalg import solve_rational_system
 from tropi.subdivide import (
     Subdivision,
     compose,

@@ -16,14 +16,8 @@ from tropi.cones import (
     locate,
     minimal_containing_cone,
 )
-from tropi.linalg import (
-    det,
-    is_unimodular,
-    mat_rank,
-    primitive,
-    solve_rational_system,
-    vec_dot,
-)
+from tropi.linalg import is_unimodular, mat_rank, primitive, vec_dot
+from reference_linalg import det, solve_rational_system
 from tropi.subdivide import sensitize, stellar_at_point
 
 

@@ -12,25 +12,27 @@ from tropi.cones import (
     ConeComplex,
     angular_sorted,
     build_snc_tropicalization,
+    cone_kernel,
     coordinate_projection,
     minimal_containing_cone,
 )
 from tropi.feasibility import LinearSystem, _normalize, fm_feasible
 from tropi.linalg import (
     LinAlgError,
-    det,
     is_unimodular,
     is_zero,
     lattice_index,
     mat_rank,
     primitive,
-    solve_rational_system,
     vec_add,
     vec_dot,
+    vec_scale,
 )
+from reference_linalg import det, solve_rational_system
 from generators import random_complex
 from tropi import subdivide
 from tropi.subdivide import (
+    MAX_INSERTED_RAYS,
     MAX_WITNESS_INDEX,
     Subdivision,
     _hilbert_basis,
@@ -38,7 +40,6 @@ from tropi.subdivide import (
     _slice_rays,
     common_refinement,
     compose,
-    extreme_filter,
     identity_subdivision,
     intersect_simplicial,
     resolve_smooth,
@@ -57,6 +58,13 @@ def quadrant():
 def octant():
     return build_snc_tropicalization(
         3, [{1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}]
+    )
+
+
+def orthant_4d():
+    """The SNC fan in R^4 with all 15 strata: four divisors meet."""
+    return build_snc_tropicalization(
+        4, [set(s) for r in range(1, 5) for s in combinations(range(1, 5), r)]
     )
 
 
@@ -208,22 +216,30 @@ class TestIntersect:
         assert rays == [(1, 1)]
 
 
+ORTHANT_WALLS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
 class TestTriangulate:
     def test_simplicial_passthrough(self):
-        assert triangulate_cone([(1, 0), (0, 1)]) == [((0, 1), (1, 0))]
+        got = triangulate_cone([(1, 0), (0, 1)], [(1, 0), (0, 1)])
+        assert got == [((0, 1), (1, 0))]
 
     def test_non_extreme_rays_rejected(self):
-        with pytest.raises(ComplexError, match="not extreme"):
-            triangulate_cone([(1, 0), (1, 1), (0, 1)])
+        with pytest.raises(ComplexError, match="not extreme in a 2-dimensional"):
+            triangulate_cone([(1, 0), (1, 1), (0, 1)], [(1, 0), (0, 1)])
 
     def test_square_cone(self):
         rays = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
-        pieces = triangulate_cone(rays)
+        # one normal per facet, each vanishing on two adjacent rays
+        walls = [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1)]
+        pieces = triangulate_cone(rays, walls)
         assert len(pieces) == 2
         assert all(len(p) == 3 for p in pieces)
         apex = min(map(tuple, map(sorted, [rays])))  # noqa: just sanity
         lex_min = min(rays)
         assert all(lex_min in p for p in pieces)
+        # a wall through the one ray (0, 1, 1) supports no facet
+        assert triangulate_cone(rays, walls + [(0, -1, 1)]) == pieces
 
     @pytest.mark.parametrize(
         "rays",
@@ -234,8 +250,26 @@ class TestTriangulate:
         ],
     )
     def test_rank_three_precondition_checked(self, rays):
-        with pytest.raises(ComplexError, match="not extreme"):
-            triangulate_cone(rays)
+        # the coordinates >= 0 on the cone; for the half-space y, z >= 0
+        # that holds the line x, those are its only facet normals
+        walls = [u for u in ORTHANT_WALLS if all(vec_dot(u, r) >= 0 for r in rays)]
+        with pytest.raises(ComplexError, match="not extreme in a 3-dimensional"):
+            triangulate_cone(rays, walls)
+
+    def test_four_dimensional_slice(self):
+        """The side x1 + x2 >= x3 + x4 of the orthant in R^4: six extreme
+        rays, three simplices on the least ray (0, 1, 0, 0) that form a fan."""
+        h = (1, 1, -1, -1)
+        units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        rays = _slice_rays(units, h, 1)
+        walls = units + [h]
+        pieces = triangulate_cone(rays, walls)
+        assert len(pieces) == 3 and pieces == sorted(pieces)
+        assert all(p == tuple(sorted(p)) for p in pieces)
+        assert all(min(rays) in p and mat_rank(p) == 4 for p in pieces)
+        ConeComplex(4, rays, [[rays.index(r) for r in p] for p in pieces])
+        with pytest.raises(ComplexError, match="not extreme in a 4-dimensional"):
+            triangulate_cone(rays + [(1, 1, 1, 1)], walls)
 
 
 def _positive_functional(rays):
@@ -290,21 +324,105 @@ def reference_triangulate_cone(rays):
     return [(apex, a, b) for a, b in zip(cyc[1:], cyc[2:])]
 
 
-def _simplices(triangulate, rays):
-    """The triangulation as a set of ray sets, or the error message."""
+def reference_extreme_filter(rays):
+    """The extreme-ray filter as it was: drop each ray that Fourier-Motzkin
+    finds to be a nonnegative combination of the others."""
+    rays = sorted(set(rays))
+    out = []
+    for i, r in enumerate(rays):
+        others = [s for j, s in enumerate(rays) if j != i]
+        if not others:
+            out.append(r)
+            continue
+        sys = LinearSystem(len(others))
+        for coord in range(len(r)):
+            sys.add_eq([s[coord] for s in others], r[coord])
+        for v in range(len(others)):
+            sys.add_ge([int(u == v) for u in range(len(others))], 0)
+        if fm_feasible(sys) is None:
+            out.append(r)
+    return out
+
+
+class TestExtremeFilterAgainstReference:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_intersection_candidates(self, k, monkeypatch):
+        """The candidates that intersect_simplicial slices out of seeded
+        pairs of rank-k simplicial cones, the second with two generators
+        moved by one unit, keep the same rays when filtered on both
+        kernels' dual rows and by Fourier-Motzkin."""
+        real = subdivide.extreme_filter
+        calls = []
+
+        def record(rays, walls):
+            calls.append((list(rays), walls))
+            return real(rays, walls)
+
+        monkeypatch.setattr(subdivide, "extreme_filter", record)
+        rng = random.Random(60 + k)
+        compared = dropped = 0
+        while compared < 120:
+            gens1 = [tuple(rng.randint(0, 3) for _ in range(k)) for _ in range(k)]
+            gens2 = list(gens1)
+            for i, j in zip(rng.sample(range(k), 2), rng.choices(range(k), k=2)):
+                unit = tuple(rng.choice((-1, 1)) * (c == j) for c in range(k))
+                gens2[i] = vec_add(gens2[i], unit)
+            cones = [
+                sorted({primitive(u) for u in g if any(u)}) for g in (gens1, gens2)
+            ]
+            if any(len(c) < k or mat_rank(c) < k for c in cones):
+                continue
+            before = len(calls)
+            got = intersect_simplicial(*cones)
+            if len(calls) == before:  # the slices left no ray
+                continue
+            rays, walls = calls[-1]
+            duals = [cone_kernel(tuple(c), k).dual for c in cones]
+            assert walls == duals[0] + duals[1]
+            if len(set(rays)) > 12:  # Fourier-Motzkin on many rays is slow
+                continue
+            assert got == reference_extreme_filter(rays)
+            compared += 1
+            dropped += len(set(rays)) - len(got)
+        # in the plane every candidate is extreme
+        assert k == 2 or dropped >= 15
+
+
+def _simplices(triangulate, *args):
+    """The triangulation as a sorted list of sorted tuples, or the error
+    message."""
     try:
-        return {frozenset(piece) for piece in triangulate(rays)}
+        return sorted(tuple(sorted(piece)) for piece in triangulate(*args))
     except ComplexError as exc:
         return str(exc)
+
+
+def _check_pulled(piece, simplices, rng):
+    """The oracle above rank 3: every simplex is full-rank on the least ray,
+    the simplices form a fan (the public constructor's pairwise check), and
+    seeded positive combinations of the rays each lie in one of them."""
+    rank = mat_rank(piece)
+    for simplex in simplices:
+        assert len(simplex) == rank == mat_rank(simplex)
+        assert min(piece) in simplex
+    fan = ConeComplex(
+        len(piece[0]), piece, [[piece.index(r) for r in s] for s in simplices]
+    )
+    for _ in range(5):
+        weights = [rng.randint(1, 4) for _ in piece]
+        p = tuple(map(sum, zip(*(vec_scale(w, r) for w, r in zip(weights, piece)))))
+        assert minimal_containing_cone(fan, p) is not None
 
 
 class TestTriangulateAgainstReference:
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_sliced_pieces(self, k):
         """Pieces that _slice_rays cuts from seeded simplicial cones, on all
-        three sides of a seeded hyperplane, triangulate into the same
-        simplices or fail with the same error.  A two-ray piece with the
-        sum of its rays added is a non-extreme input."""
+        three sides of a seeded hyperplane, with the cone's kernel rows and
+        the side's h as walls.  Up to rank 3 they triangulate into the
+        reference's simplices or fail with its error (which names dimension
+        3 for every rank); above, they pass the oracle of _check_pulled.  A
+        two-ray piece with the sum of its rays added is a non-extreme input."""
         rng = random.Random(80 + k)
         results = collections.Counter()
         drawn = 0
@@ -318,13 +436,22 @@ class TestTriangulateAgainstReference:
                 continue
             h = tuple(rng.randint(-3, 3) for _ in range(k))
             for side in (1, 0, -1):
+                walls = cone_kernel(tuple(gens), k).dual + (tuple(side * x for x in h),)
                 pieces = [_slice_rays(gens, h, side)]
                 if len(pieces[0]) == 2:
                     middle = primitive(tuple(map(sum, zip(*pieces[0]))))
                     pieces.append(pieces[0] + [middle])
                 for piece in pieces:
-                    got = _simplices(triangulate_cone, piece)
-                    assert got == _simplices(reference_triangulate_cone, piece)
+                    got = _simplices(triangulate_cone, piece, walls)
+                    rank = mat_rank(piece) if piece else 0
+                    if rank <= 3:
+                        ref = _simplices(reference_triangulate_cone, piece)
+                        if isinstance(ref, str):
+                            ref = ref.replace("3-dimensional", f"{rank}-dimensional")
+                        assert got == ref
+                    elif len(piece) > rank:
+                        _check_pulled(sorted(piece), got, rng)
+                        results["pulled above rank 3"] += 1
                     if isinstance(got, str):
                         results[got.split()[-1]] += 1
                     else:
@@ -332,9 +459,9 @@ class TestTriangulateAgainstReference:
             drawn += 1
         assert results[True] >= 120  # non-simplicial pieces triangulated
         assert results[False] >= 800
-        assert results["cone"] >= 250  # "... not extreme in a 3-dimensional cone"
+        assert results["cone"] >= 250  # "... not extreme in a 2-dimensional cone"
         if k > 3:
-            assert results["unsupported"] >= 150  # "... above dimension 3 unsupported"
+            assert results["pulled above rank 3"] >= 150
 
 
 class TestSliceByHyperplane:
@@ -372,7 +499,7 @@ class TestSliceByHyperplane:
             h = tuple(rng.randint(-3, 3) for _ in range(k))
             for side in (1, 0, -1):
                 rays = _slice_rays(gens, h, side)
-                assert sorted(rays) == extreme_filter(rays)
+                assert sorted(rays) == reference_extreme_filter(rays)
             drawn += 1
 
 
@@ -534,6 +661,47 @@ class TestWitnessBound:
         assert len(resolve_smooth(base).refined.rays) == 201
 
 
+class TestInsertedRaysBound:
+    def test_above_the_bound(self):
+        # cone((1,0),(1,m)) inserts the m - 1 rays (1,1) .. (1,m-1)
+        m = MAX_INSERTED_RAYS + 2
+        base = ConeComplex(2, [(1, 0), (1, m)], [{0, 1}])
+        with pytest.raises(ComplexError, match="MAX_INSERTED_RAYS"):
+            resolve_smooth(base)
+
+    def test_at_the_bound_resolves(self, monkeypatch):
+        base = ConeComplex(2, [(1, 0), (1, 200)], [{0, 1}])
+        monkeypatch.setattr(subdivide, "MAX_INSERTED_RAYS", 198)
+        with pytest.raises(ComplexError, match="more than MAX_INSERTED_RAYS = 198"):
+            resolve_smooth(base)
+        monkeypatch.setattr(subdivide, "MAX_INSERTED_RAYS", 199)
+        assert len(resolve_smooth(base).refined.rays) == 201
+
+    def test_summed_over_cones_and_witnesses(self, monkeypatch):
+        """The count runs over every rank-2 cone of a fan, and over the
+        witnesses of a rank-3 cone."""
+        fan = ConeComplex(2, [(1, 0), (1, 5), (-1, 1)], [{0, 1}, {1, 2}])
+        cone = ConeComplex(3, [(1, 0, 0), (0, 1, 0), (1, 2, 5)], [range(3)])
+        for c in (fan, cone):
+            inserted = len(resolve_smooth(c).refined.rays) - len(c.rays)
+            monkeypatch.setattr(subdivide, "MAX_INSERTED_RAYS", inserted - 1)
+            with pytest.raises(ComplexError, match="MAX_INSERTED_RAYS"):
+                resolve_smooth(c)
+            monkeypatch.setattr(subdivide, "MAX_INSERTED_RAYS", inserted)
+            resolve_smooth(c)
+
+    def test_before_any_complex_is_built(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a complex was built before the bound was checked")
+
+        monkeypatch.setattr(ConeComplex, "_refinement", fail)
+        monkeypatch.setattr(subdivide, "MAX_INSERTED_RAYS", 10)
+        base = ConeComplex(2, [(1, 0), (1, 20)], [{0, 1}])
+        for refine in (resolve_smooth, lambda c: sensitize(c, [])):
+            with pytest.raises(ComplexError, match="MAX_INSERTED_RAYS"):
+                refine(base)
+
+
 class TestBoundBeforeAnySplit:
     """The bound is checked once, on the largest initial index, before any
     cone is split."""
@@ -600,6 +768,50 @@ class TestSensitize:
             assert slope in s.refined.rays
         for mc in s.refined.max_cones:
             assert is_unimodular(s.refined.generators(frozenset(mc)))
+
+
+class TestFourDimensional:
+    """Slices of the 4D cone have non-simplicial pieces of rank 4, which the
+    pulling triangulation splits."""
+
+    def test_diagonal_slope(self):
+        refined = sensitize(orthant_4d(), [(1, 1, 1, 1)]).refined
+        assert (len(refined.rays), len(refined.max_cones)) == (15, 24)
+        assert ConeComplex(4, refined.rays, refined.max_cones) == refined
+
+    def test_two_slopes(self):
+        """Too many cones for the public rebuild's pairwise check: every cone
+        is unimodular, both slopes are rays, and seeded points of the
+        orthant are located."""
+        slopes = [(1, 2, 1, 1), (2, 1, 1, 1)]
+        refined = sensitize(orthant_4d(), slopes).refined
+        assert (len(refined.rays), len(refined.max_cones)) == (595, 2765)
+        assert all(s in refined.rays for s in slopes)
+        for mc in refined.max_cones:
+            assert is_unimodular(refined.generators(frozenset(mc)))
+        rng = random.Random(4)
+        for _ in range(60):
+            p = (0,) * 4
+            while not any(p):
+                p = tuple(rng.randint(0, 9) for _ in range(4))
+            assert minimal_containing_cone(refined, p) is not None
+        assert minimal_containing_cone(refined, (1, 2, -1, 1)) is None
+
+    def test_common_refinement(self):
+        """Two slices that each cut the orthant into two non-simplicial
+        pieces: their common refinement is a fan that refines both and
+        covers them."""
+        fan = orthant_4d()
+        a = slice_by_hyperplane(fan, (1, 1, -1, -1))
+        b = slice_by_hyperplane(fan, (1, -1, 2, -1))
+        r = common_refinement(a, b)
+        assert ConeComplex(4, r.rays, r.max_cones) == r
+        rng = random.Random(5)
+        for src in (a, b):
+            _check_images(Subdivision(src, r))
+            for _ in range(20):
+                p = _in_support_point(rng, src)
+                assert minimal_containing_cone(r, p) is not None
 
 
 class TestSupportPreservation:
@@ -831,7 +1043,7 @@ def reference_slice_by_hyperplane(c, h):
         for side in (1, -1):
             part = _slice_rays(list(gens), h, side)
             if part and mat_rank(part) == mat_rank(gens):
-                pieces.extend(triangulate_cone(part))
+                pieces.extend(reference_triangulate_cone(part))
     ray_set = sorted({r for piece in pieces for r in piece})
     index = {r: i for i, r in enumerate(ray_set)}
     cones = [frozenset(index[r] for r in piece) for piece in pieces]
