@@ -6,6 +6,13 @@ generators is implicitly a face, so only maximal cones are stored.  The
 pairwise condition (any two cones intersect in a common face) is validated
 exactly by the public constructor, where a complex enters the program; the
 refinements that `tropi.subdivide` builds are fans by construction and skip it.
+
+Two simplicial cones meet exactly through ``intersect_simplicial``: the
+double description method (Fukuda and Prodon, "Double description method
+revisited", 1996), which cuts one cone by the other's integer kernel rows and
+keeps the extreme rays after every cut by a combinatorial test on the walls
+through each ray.  The pair check of validation and `tropi.subdivide`'s
+common refinement both use it.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from itertools import combinations
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .feasibility import LinearSystem, fm_feasible
 from .linalg import (
     IntVector,
     QVector,
@@ -161,31 +167,11 @@ class ConeComplex:
                     )
 
     def _pair_is_common_face(self, c1: Cone, c2: Cone) -> bool:
-        """True iff c1 and c2 intersect exactly in the common-generator face.
-
-        Encoded as infeasibility of: a point lies in both cones with the
-        non-common barycentric mass at least 1 (exact, by homogeneity).
-        """
-        g1, g2 = sorted(c1), sorted(c2)
-        if not g1 or not g2:
-            return True
-        common = c1 & c2
-        n = len(g1) + len(g2)
-        sys = LinearSystem(n)
-        for r in range(self.ambient_dim):
-            row = [self.rays[i][r] for i in g1] + [-self.rays[j][r] for j in g2]
-            sys.add_eq(row, 0)
-        for v in range(n):
-            unit = [0] * n
-            unit[v] = 1
-            sys.add_ge(unit, 0)
-        mass = [0 if i in common else 1 for i in g1] + [
-            0 if j in common else 1 for j in g2
-        ]
-        if all(x == 0 for x in mass):
-            return True
-        sys.add_ge(mass, 1)
-        return fm_feasible(sys) is None
+        """True iff c1 and c2 intersect exactly in the common-generator face:
+        every extreme ray of their intersection is a common generator."""
+        common = set(self.generators(c1 & c2))
+        meet = intersect_simplicial(self.generators(c1), self.generators(c2))
+        return common.issuperset(meet)
 
     # -- queries ---------------------------------------------------------
 
@@ -225,6 +211,62 @@ class ConeComplex:
     def barycenter(self, c: Cone) -> IntVector:
         gens = self.generators(c)
         return tuple(sum(g[r] for g in gens) for r in range(self.ambient_dim))
+
+
+# -- exact intersection of simplicial cones -------------------------------
+
+
+def _slice_rays(
+    rays: list[IntVector], h: IntVector, side: int
+) -> list[IntVector]:
+    """Extreme-ray candidates of cone(rays) cut by h >= 0 / <= 0 / = 0."""
+    vals = {r: vec_dot(h, r) for r in rays}
+    out = [r for r in rays if (side * vals[r] >= 0 if side else vals[r] == 0)]
+    for a, b in combinations(rays, 2):
+        va, vb = vals[a], vals[b]
+        if va * vb < 0:  # the cut |va| b + |vb| a lies on h
+            cut = primitive(tuple(abs(va) * y + abs(vb) * x for x, y in zip(a, b)))
+            if cut not in out:
+                out.append(cut)
+    return out
+
+
+def extreme_filter(rays: list[IntVector], walls: Sequence[IntVector]) -> list:
+    """The extreme rays of cone(rays), sorted.
+
+    walls are integer functionals >= 0 on the cone, among them a normal of
+    every facet, so the walls that vanish at a ray cut out its least face.
+    A ray is extreme iff no other ray's zero set contains its own.
+    """
+    rays = sorted(set(rays))
+    zeros = [
+        sum(1 << i for i, w in enumerate(walls) if vec_dot(w, r) == 0) for r in rays
+    ]
+    return [r for r, z in zip(rays, zeros) if sum(y & z == z for y in zeros) == 1]
+
+
+def intersect_simplicial(
+    gens1: Sequence[IntVector], gens2: Sequence[IntVector]
+) -> list[IntVector]:
+    """Extreme rays of the intersection of two simplicial cones, sorted.
+
+    cone(gens1) is cut by each of gens2's kernel rows, and the candidates
+    are filtered after every cut on gens1's dual rows and the dual rows
+    applied so far, so they never outgrow the extreme rays of one cut.
+    """
+    if not gens1 or not gens2:
+        return []
+    k = len(gens1[0])
+    kern = cone_kernel(tuple(gens2), k)
+    walls = cone_kernel(tuple(gens1), k).dual
+    rays = list(gens1)
+    for h, side in [(e, 0) for e in kern.eqs] + [(l, 1) for l in kern.dual]:
+        if side:
+            walls += (h,)
+        rays = extreme_filter(_slice_rays(rays, h, side), walls)
+        if not rays:
+            break
+    return rays
 
 
 def locate(c: ConeComplex, p: Sequence) -> Optional[tuple]:

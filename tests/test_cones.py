@@ -1,4 +1,7 @@
+import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +16,15 @@ from tropi.cones import (
     cone_kernel,
     coordinate_projection,
     evaluate_pl,
+    intersect_simplicial,
     locate,
     minimal_containing_cone,
 )
+from tropi.feasibility import LinearSystem, fm_feasible
 from tropi.linalg import is_unimodular, mat_rank, primitive, vec_dot
 from reference_linalg import det, solve_rational_system
-from tropi.subdivide import sensitize, stellar_at_point
+from generators import random_complex
+from tropi.subdivide import common_refinement, sensitize, stellar_at_point
 
 
 def quadrant():
@@ -95,6 +101,119 @@ class TestValidation:
         b = ConeComplex(2, [(1, 0), (0, 1)], [{1, 0}])
         assert a == b
         assert hash(a) == hash(b)
+
+
+def reference_pair_is_common_face(c, c1, c2):
+    """The pair check as it was: c1 and c2 meet in their common face iff no
+    point lies in both with non-common barycentric mass at least 1 (exact,
+    by homogeneity), decided by Fourier-Motzkin."""
+    g1, g2 = sorted(c1), sorted(c2)
+    if not g1 or not g2:
+        return True
+    common = c1 & c2
+    n = len(g1) + len(g2)
+    sys = LinearSystem(n)
+    for r in range(c.ambient_dim):
+        sys.add_eq([c.rays[i][r] for i in g1] + [-c.rays[j][r] for j in g2], 0)
+    for v in range(n):
+        sys.add_ge([int(u == v) for u in range(n)], 0)
+    mass = [int(i not in common) for i in g1] + [int(j not in common) for j in g2]
+    if not any(mass):
+        return True
+    sys.add_ge(mass, 1)
+    return fm_feasible(sys) is None
+
+
+def reference_validate(c):
+    """The all-pairs validation as it was, on the reference pair check."""
+    cones = list(c.max_kernels)
+    for a, b in combinations(cones, 2):
+        if not reference_pair_is_common_face(c, a, b):
+            raise ComplexError(
+                f"cones {sorted(a)} and {sorted(b)} do not intersect in a common face"
+            )
+
+
+def drawn_complex(rng, k, count):
+    """An unchecked complex in R^k: count cones of rank 1..k on independent
+    rays of a small primitive pool, most sharing generators with an earlier
+    cone, so that they overlap, touch or meet in a common face."""
+    pool = (tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(k + 6))
+    pool = sorted({primitive(v) for v in pool if any(v)})
+    cones = []
+    while len(cones) < count:
+        size = rng.randint(1, k)
+        base = sorted(rng.choice(cones)) if cones and rng.random() < 0.7 else []
+        shared = rng.sample(base, rng.randint(0, min(len(base), size)))
+        cone = set(shared)
+        cone.update(rng.sample(range(len(pool)), size - len(cone)))
+        if mat_rank([pool[i] for i in cone]) == len(cone):
+            cones.append(cone)
+    return ConeComplex._refinement(k, pool, cones)
+
+
+class TestPairCheckAgainstFourierMotzkin:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_verdicts(self, k):
+        """Every ordered pair of maximal cones of seeded drawn complexes and
+        of seeded valid fans gets the reference verdict, with the kernels
+        built first as in validation."""
+        rng = random.Random(90 + k)
+        verdicts = {True: 0, False: 0}
+        complexes = [drawn_complex(rng, k, 5) for _ in range(300)]
+        complexes += [random_complex(rng, k) for _ in range(10)]
+        for c in complexes:
+            for a, b in combinations(c.max_kernels, 2):
+                for c1, c2 in ((a, b), (b, a)):
+                    got = c._pair_is_common_face(c1, c2)
+                    assert got == reference_pair_is_common_face(c, c1, c2)
+                    verdicts[got] += 1
+        assert verdicts[False] >= (150 if k > 1 else 0)
+        assert verdicts[True] >= 300
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_first_failing_pair(self, k):
+        """Seeded complexes fail the public constructor with the message of
+        the reference's first failing pair, and pass where it passes."""
+        rng = random.Random(95 + k)
+        outcomes = {True: 0, False: 0}
+        for _ in range(300):
+            c = drawn_complex(rng, k, rng.randint(2, 6))
+            try:
+                reference_validate(c)
+                expected = None
+            except ComplexError as exc:
+                expected = str(exc)
+            try:
+                ConeComplex(k, c.rays, c.max_cones)
+                got = None
+            except ComplexError as exc:
+                got = str(exc)
+            assert got == expected
+            outcomes[got is None] += 1
+        assert outcomes[False] >= 40 and outcomes[True] >= 40
+
+    def test_five_dimensional_pair(self):
+        """Filtering after every cut keeps this pair's candidates small: it
+        once grew to 22 015 candidates and did not finish in 20 s.  The
+        common refinement of the two complete fans on the cones' rays and
+        minus their sums is a fan, and the refined cones on the extreme rays
+        of the intersection fill it."""
+        a = [(0, 1, 2, 2, 2), (0, 2, 0, 1, 1), (0, 3, 2, 1, 3), (3, 2, 2, 1, 3), (3, 3, 2, 3, 1)]
+        b = [(-1, 2, 0, 1, 1), (0, 3, 2, 2, 3), (1, 1, 2, 2, 2), (3, 2, 2, 1, 2), (3, 4, 2, 3, 1)]
+        start = time.perf_counter()
+        meet = intersect_simplicial(a, b)
+        assert time.perf_counter() - start < 1
+        assert len(meet) == 15 and meet == intersect_simplicial(b, a)
+
+        def complete(gens):
+            rays = gens + [primitive(tuple(-sum(x) for x in zip(*gens)))]
+            return ConeComplex(5, rays, [set(range(6)) - {i} for i in range(6)])
+
+        out = common_refinement(complete(a), complete(b))
+        inside = [mc for mc in out.max_cones if set(out.generators(mc)) <= set(meet)]
+        assert {r for mc in inside for r in out.generators(mc)} == set(meet)
+        assert ConeComplex(5, out.rays, inside).max_cones == tuple(inside)
 
 
 class TestMinimalContainingCone:

@@ -26,10 +26,11 @@ from tropi.serialize import (
     type_to_dict,
 )
 from tropi.combtypes import TypeProblem
-from tropi.cones import ComplexError, ConeComplex
+from tropi.cones import ComplexError, ConeComplex, build_snc_tropicalization
 from tropi.subdivide import (
     Subdivision,
     identity_subdivision,
+    resolve_smooth,
     sensitize,
     stellar,
     stellar_at_point,
@@ -89,6 +90,21 @@ class TestRoundTrips:
             big = [m for m in c.max_cones if len(m) >= 2]
             if big:
                 subs.append(stellar(c, sorted(big, key=sorted)[0]))
+        for s in subs:
+            back = subdivision_from_dict(_json_round(subdivision_to_dict(s)))
+            assert back == s
+
+    def test_large_subdivisions(self):
+        """Files that reading back once spent seconds validating: a rank-2
+        resolution with 200 cones and the 207-cone octant refinement."""
+        octant = build_snc_tropicalization(
+            3, [{1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}]
+        )
+        subs = [
+            resolve_smooth(ConeComplex(2, [(1, 0), (1, 200)], [{0, 1}])),
+            sensitize(octant, [(1, 2, 3), (3, 1, 2)]),
+        ]
+        assert [len(s.refined.max_cones) for s in subs] == [200, 207]
         for s in subs:
             back = subdivision_from_dict(_json_round(subdivision_to_dict(s)))
             assert back == s

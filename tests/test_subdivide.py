@@ -14,6 +14,7 @@ from tropi.cones import (
     build_snc_tropicalization,
     cone_kernel,
     coordinate_projection,
+    extreme_filter,
     minimal_containing_cone,
 )
 from tropi.feasibility import LinearSystem, _normalize, fm_feasible
@@ -347,18 +348,19 @@ def reference_extreme_filter(rays):
 class TestExtremeFilterAgainstReference:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_intersection_candidates(self, k, monkeypatch):
-        """The candidates that intersect_simplicial slices out of seeded
-        pairs of rank-k simplicial cones, the second with two generators
-        moved by one unit, keep the same rays when filtered on both
-        kernels' dual rows and by Fourier-Motzkin."""
-        real = subdivide.extreme_filter
+        """The candidates of every cut that intersect_simplicial makes in
+        seeded pairs of rank-k simplicial cones, the second with two
+        generators moved by one unit, keep the same rays when filtered on
+        the first kernel's dual rows plus the second's rows cut so far, and
+        by Fourier-Motzkin."""
         calls = []
 
         def record(rays, walls):
-            calls.append((list(rays), walls))
-            return real(rays, walls)
+            out = extreme_filter(rays, walls)
+            calls.append((list(rays), walls, out))
+            return out
 
-        monkeypatch.setattr(subdivide, "extreme_filter", record)
+        monkeypatch.setattr("tropi.cones.extreme_filter", record)
         rng = random.Random(60 + k)
         compared = dropped = 0
         while compared < 120:
@@ -372,18 +374,18 @@ class TestExtremeFilterAgainstReference:
             ]
             if any(len(c) < k or mat_rank(c) < k for c in cones):
                 continue
-            before = len(calls)
+            calls.clear()
             got = intersect_simplicial(*cones)
-            if len(calls) == before:  # the slices left no ray
+            assert calls and got == calls[-1][2]
+            # Fourier-Motzkin on many rays is slow
+            if any(len(set(rays)) > 12 for rays, _, _ in calls):
                 continue
-            rays, walls = calls[-1]
             duals = [cone_kernel(tuple(c), k).dual for c in cones]
-            assert walls == duals[0] + duals[1]
-            if len(set(rays)) > 12:  # Fourier-Motzkin on many rays is slow
-                continue
-            assert got == reference_extreme_filter(rays)
+            for cut, (rays, walls, out) in enumerate(calls, 1):
+                assert walls == duals[0] + duals[1][:cut]
+                assert out == reference_extreme_filter(rays)
+                dropped += len(set(rays)) - len(out)
             compared += 1
-            dropped += len(set(rays)) - len(got)
         # in the plane every candidate is extreme
         assert k == 2 or dropped >= 15
 
@@ -620,7 +622,7 @@ class TestHilbertBasis:
         rng = random.Random(40 + k)
         for u, v in _rank_two_cones(rng, k, 30, 200):
             for a, b in ((u, v), (v, u)):
-                walk = _hilbert_basis(a, b)
+                walk = list(_hilbert_basis(a, b))
                 assert (walk[0], walk[-1]) == (a, b)
                 assert len(set(walk)) == len(walk)
                 assert set(walk) == _searched_hilbert_basis(a, b)
@@ -628,9 +630,9 @@ class TestHilbertBasis:
 
     def test_continued_fraction_lengths(self):
         # ((1,0),(1,m)) has every (1,i) between; ((1,0),(m-1,m)) one ray
-        assert _hilbert_basis((1, 0), (1, 5)) == [(1, i) for i in range(6)]
-        assert _hilbert_basis((1, 0), (4, 5)) == [(1, 0), (1, 1), (4, 5)]
-        assert _hilbert_basis((0, 1), (1, 0)) == [(0, 1), (1, 0)]
+        assert list(_hilbert_basis((1, 0), (1, 5))) == [(1, i) for i in range(6)]
+        assert list(_hilbert_basis((1, 0), (4, 5))) == [(1, 0), (1, 1), (4, 5)]
+        assert list(_hilbert_basis((0, 1), (1, 0))) == [(0, 1), (1, 0)]
 
 
 # 3D cones in skewed coordinates: sensitize's pulled-back cuts leave pieces
