@@ -2,8 +2,9 @@
 
 Two independent decision procedures, on rows stored as coprime integers:
 
-* Fourier-Motzkin elimination, which also back-substitutes a witness point
-  in integer numerators over one common denominator;
+* Fourier-Motzkin elimination on the distinct rows, which also
+  back-substitutes a witness point in integer numerators over one common
+  denominator;
 * a phase-one simplex with Bland's rule over Fractions, an oracle for it.
 
 Systems mix equalities and non-strict inequalities over free variables.
@@ -15,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .linalg import LinAlgError, QVector, vec_dot
+from .linalg import LinAlgError, QVector
 
 IntRow = tuple[tuple[int, ...], int]
 
@@ -36,7 +38,7 @@ def _normalize(coeffs: Sequence, rhs) -> IntRow:
     """Scale a row of ints and Fractions by a positive factor to coprime
     integers, so an inequality keeps its direction."""
     entries = (*coeffs, rhs)
-    if all(type(x) is int for x in entries):
+    if set(map(type, entries)) == {int}:
         c, r = _coprime(list(coeffs), rhs)
         return tuple(c), r
     if not all(isinstance(x, (int, Fraction)) for x in entries):
@@ -69,10 +71,14 @@ class LinearSystem:
         return row
 
     def satisfied_by(self, x: Sequence) -> bool:
+        """Whether x meets every constraint; each distinct row is checked once."""
+        if len(x) != self.n_vars:
+            raise ValueError("point length does not match variable count")
         d = lcm(*(v.denominator for v in x))
         xd = [v.numerator * (d // v.denominator) for v in x]
-        return all(vec_dot(c, xd) == r * d for c, r in self.eqs) and all(
-            vec_dot(c, xd) >= r * d for c, r in self.ineqs
+        eqs, ineqs = dict.fromkeys(self.eqs), dict.fromkeys(self.ineqs)
+        return all(sum(map(mul, c, xd)) == r * d for c, r in eqs) and all(
+            sum(map(mul, c, xd)) >= r * d for c, r in ineqs
         )
 
 
@@ -81,11 +87,13 @@ def fm_feasible(system: LinearSystem) -> Optional[QVector]:
 
     Equalities are eliminated first by integer cross-multiplication, then
     the remaining inequalities are projected one variable at a time.  The
-    witness is recovered by walking the elimination stack backwards.
+    witness is recovered by walking the elimination stack backwards.  Of a
+    repeated row one copy is kept; of an equality the last, which is popped
+    first and would cancel the others to 0 = 0, so the pivots are the same.
     """
     n = system.n_vars
-    ineqs = [(list(c), r) for c, r in system.ineqs]
-    eqs = [(list(c), r) for c, r in system.eqs]
+    ineqs = [(list(c), r) for c, r in dict.fromkeys(system.ineqs)]
+    eqs = [(list(c), r) for c, r in reversed(dict.fromkeys(reversed(system.eqs)))]
 
     # solve each equality for one variable and cancel it everywhere
     subs: list[tuple[int, list[int], int]] = []
@@ -98,33 +106,38 @@ def fm_feasible(system: LinearSystem) -> Optional[QVector]:
             continue
         pv = coeffs[piv]
         s = 1 if pv > 0 else -1
+        support = [(j, s * e) for j, e in enumerate(coeffs) if e]
 
         def apply(row):
-            # a positive multiple of row - (f / pv) eq, so >= survives
+            # |pv| row - s f eq, a positive multiple of row - (f / pv) eq,
+            # so >= survives; only the equality's support changes
             c, r = row
             f = c[piv]
             if f == 0:
                 return row
-            return _coprime(
-                [s * (pv * a - f * e) for a, e in zip(c, coeffs)],
-                s * (pv * r - f * rhs),
-            )
+            new = c[:] if s * pv == 1 else [s * pv * a for a in c]
+            for j, e in support:
+                new[j] -= f * e
+            return _coprime(new, s * (pv * r - f * rhs))
 
         eqs = [apply(row) for row in eqs]
         ineqs = [apply(row) for row in ineqs]
         subs.append((piv, coeffs, rhs))
 
     # eliminate remaining variables from the inequalities
-    live = [j for j in range(n) if any(c[j] != 0 for c, _ in ineqs)]
     cons = {(tuple(c), r) for c, r in ineqs}
     stack: list[tuple[int, list[IntRow], list[IntRow]]] = []
-    while live:
-        # cheapest variable first keeps the blowup down
-        var = min(
-            live,
-            key=lambda j: sum(1 for c, _ in cons if c[j] > 0)
-            * sum(1 for c, _ in cons if c[j] < 0),
-        )
+    while True:
+        # one pass counts each variable's lower and upper bounds
+        lo_count, hi_count = [0] * n, [0] * n
+        for c, _ in cons:
+            for j in compress(range(n), c):
+                (lo_count if c[j] > 0 else hi_count)[j] += 1
+        live = [j for j in range(n) if lo_count[j] or hi_count[j]]
+        if not live:
+            break
+        # cheapest variable first keeps the blowup down; ties go to the lowest
+        var = min(live, key=lambda j: lo_count[j] * hi_count[j])
         lowers = [(c, r) for c, r in cons if c[var] > 0]
         uppers = [(c, r) for c, r in cons if c[var] < 0]
         keeps = {(c, r) for c, r in cons if c[var] == 0}
@@ -138,7 +151,6 @@ def fm_feasible(system: LinearSystem) -> Optional[QVector]:
                 )
                 keeps.add((tuple(nc), nr))
         cons = keeps
-        live = [j for j in live if j != var and any(c[j] != 0 for c, _ in cons)]
 
     for c, r in cons:
         if r > 0:  # 0 >= r with r > 0

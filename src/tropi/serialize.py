@@ -3,14 +3,15 @@
 All numerics are exact: plain integers for integer data, canonical "p/q"
 strings (q > 0, gcd(p, q) = 1) for rationals.  No floats ever appear in
 a persisted file.  Writes are atomic (temp file in the same directory,
-then rename), so a crashed run never leaves a truncated artifact behind.
+then rename), so a crashed run never leaves a truncated artifact behind; a
+new file gets 0o666 less the umask, and an overwritten one keeps its mode.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+import stat
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any, Iterator, Optional
@@ -293,12 +294,18 @@ def _reject_float(token):
 
 
 def save_text(path: str, text: str) -> None:
-    """Write text atomically: temp file in the target directory, then rename."""
+    """Write text atomically: temp file in the target directory, then rename.
+    A new file gets 0o666 less the umask, as a plain open gives; an
+    overwritten file keeps its mode."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    mode = stat.S_IMODE(os.stat(path).st_mode) if os.path.exists(path) else None
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

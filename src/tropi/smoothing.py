@@ -15,13 +15,18 @@ verify_realization re-checks any proposed witness from scratch.  Realizations
 are verified in integers after clearing denominators once: every position
 and length is scaled by the lcm d of their denominators, and cone membership
 is read off the signs of the kernel numerators of the scaled points.
+
+The tree walks are in integers too: an LP witness is cleared to one
+denominator before its positions are summed, and smooth_construct carries
+each position as integer numerators over its own positive denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Optional
 
 from .combtypes import (
@@ -32,7 +37,7 @@ from .combtypes import (
     ValidationReport,
 )
 from .feasibility import LinearSystem, fm_feasible, simplex_feasible
-from .linalg import IntVector, QVector, vec_add, vec_dot, vec_scale
+from .linalg import IntVector, QVector, vec_add, vec_scale
 
 
 @dataclass(frozen=True)
@@ -119,31 +124,15 @@ def check_sensitivity_consequences(t: CombinatorialType) -> SensitivityReport:
 # -- linear-programming route ---------------------------------------------
 
 
-def _path_slopes(t: CombinatorialType, root: str) -> dict[str, dict[Edge, int]]:
-    """Per vertex: which edges lie on its root path, with orientation sign.
-
-    Sign +1 means the stored orientation points away from the root.
-    """
-    paths: dict[str, dict[Edge, int]] = {root: {}}
-    for v, e, w in t.graph.walk(root):
-        paths[w] = {**paths[v], e: 1 if e[0] == v else -1}
-    return paths
-
-
 def _position_row(
-    t: CombinatorialType,
-    functional: IntVector,
-    path: dict[Edge, int],
-    edge_index: dict[Edge, int],
-    n_vars: int,
+    functional: IntVector, path: list[tuple[int, IntVector]], n_vars: int
 ) -> list[int]:
-    """Row of <functional, position(v)> in the variables (x, lengths)."""
-    k = t.target.ambient_dim
+    """Row of <functional, position(v)> in the variables (x, lengths), where
+    path lists (column, nonzero slope away from the root) on v's root path."""
     row = [0] * n_vars
-    row[:k] = functional
-    for e, sign in path.items():
-        m = t.slope_from(e[0], e) if sign == 1 else t.slope_from(e[1], e)
-        row[k + edge_index[e]] += vec_dot(functional, m)
+    row[: len(functional)] = functional
+    for col, m in path:
+        row[col] = sum(map(mul, functional, m))
     return row
 
 
@@ -186,7 +175,11 @@ def build_smoothing_system(
     edge_index = {e: i for i, e in enumerate(g.edges)}
     n = k + len(g.edges)
     sys = LinearSystem(n)
-    paths = _path_slopes(t, root)
+    paths: dict[str, list[tuple[int, IntVector]]] = {root: []}
+    for v, e, w in g.walk(root):
+        m = t.slope_from(v, e)
+        # a contracted edge adds nothing to the rows
+        paths[w] = [*paths[v], (k + edge_index[e], m)] if any(m) else paths[v]
 
     for e in g.edges:
         row = [0] * n
@@ -197,17 +190,17 @@ def build_smoothing_system(
     for v in g.vertices:
         kern = t.target.kernel(t.vertex_cones[v])
         for f in kern.eqs:
-            sys.add_eq(_position_row(t, f, paths[v], edge_index, n), 0)
+            sys.add_eq(_position_row(f, paths[v], n), 0)
         for f in kern.dual:
-            sys.add_ge(_position_row(t, f, paths[v], edge_index, n), kern.denom)
+            sys.add_ge(_position_row(f, paths[v], n), kern.denom)
 
     for e in g.edges:
         a, b = e
         kern = t.target.kernel(t.edge_cones[e])
         for f in kern.dual:
             # midpoint interiority, doubled to stay integral
-            row_a = _position_row(t, f, paths[a], edge_index, n)
-            row_b = _position_row(t, f, paths[b], edge_index, n)
+            row_a = _position_row(f, paths[a], n)
+            row_b = _position_row(f, paths[b], n)
             sys.add_ge([x + y for x, y in zip(row_a, row_b)], kern.denom)
     return sys, edge_index, root
 
@@ -219,10 +212,15 @@ def _realization_from_witness(
     root: str,
 ) -> Realization:
     k = t.target.ambient_dim
+    d = lcm(*(x.denominator for x in witness))
+    xn = [x.numerator * (d // x.denominator) for x in witness]
     lengths = {e: witness[k + i] for e, i in edge_index.items()}
-    positions: dict[str, QVector] = {root: tuple(Fraction(c) for c in witness[:k])}
+    # positions times d, walked in integers
+    cleared: dict[str, IntVector] = {root: tuple(xn[:k])}
     for v, e, w in t.graph.walk(root):
-        positions[w] = vec_add(positions[v], vec_scale(lengths[e], t.slope_from(v, e)))
+        step = vec_scale(xn[k + edge_index[e]], t.slope_from(v, e))
+        cleared[w] = vec_add(cleared[v], step)
+    positions = {v: tuple(Fraction(x, d) for x in p) for v, p in cleared.items()}
     return Realization(root, lengths, positions)
 
 
@@ -267,8 +265,11 @@ def smooth_construct(t: CombinatorialType, start: Optional[str] = None) -> Reali
     g = t.graph
     if start is None:
         start = g.vertices[0]
-    positions: dict[str, QVector] = {
-        start: tuple(Fraction(x) for x in t.target.barycenter(t.vertex_cones[start]))
+    elif start not in t.vertex_cones:
+        raise TypeProblem(f"start vertex {start!r} is not a vertex of the type")
+    # each position as integer numerators over its own positive denominator
+    positions: dict[str, tuple[IntVector, int]] = {
+        start: (t.target.barycenter(t.vertex_cones[start]), 1)
     }
     lengths: dict[Edge, Fraction] = {}
     for v, e, w in g.walk(start):
@@ -282,9 +283,10 @@ def smooth_construct(t: CombinatorialType, start: Optional[str] = None) -> Reali
             lengths[e] = Fraction(1)
             positions[w] = positions[v]
             continue
-        # coordinates times the kernel denominator; only ratios are used
+        # coordinates times the kernel's (and mu the position's) denominator
         kern = t.target.kernel(cone)
-        mu = kern.numerators(positions[v])
+        pn, pd = positions[v]
+        mu = kern.numerators(pn)
         a = kern.numerators(m)
         if mu is None or a is None:
             raise TypeProblem(f"edge {e} leaves the span of its cone")
@@ -293,15 +295,20 @@ def smooth_construct(t: CombinatorialType, start: Optional[str] = None) -> Reali
             (i0,) = dropped
             if not (a[i0] < 0 and mu[i0] > 0):
                 raise TypeProblem(f"edge {e} cannot descend to the cone of {w}")
-            length = Fraction(mu[i0], -a[i0])
+            length = Fraction(mu[i0], -a[i0] * pd)
         else:
             bounds = [Fraction(mu[i], -a[i]) for i in range(len(ids)) if a[i] < 0]
-            length = min(bounds) / 2 if bounds else Fraction(1)
+            length = min(bounds) / (2 * pd) if bounds else Fraction(1)
         if length <= 0:
             raise TypeProblem(f"edge {e} gets no positive length")
         lengths[e] = length
-        positions[w] = vec_add(positions[v], vec_scale(length, m))
-    return Realization(start, lengths, positions)
+        # pn / pd + (ln / ld) m over the denominator pd ld, reduced
+        ln, ld = length.numerator, length.denominator
+        wn = [ld * x + pd * ln * y for x, y in zip(pn, m)]
+        common = gcd(*wn, pd * ld)
+        positions[w] = (tuple(x // common for x in wn), pd * ld // common)
+    final = {v: tuple(Fraction(x, d) for x in p) for v, (p, d) in positions.items()}
+    return Realization(start, lengths, final)
 
 
 # -- verification -----------------------------------------------------------

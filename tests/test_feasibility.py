@@ -221,6 +221,11 @@ class TestIntegerRows:
         assert not s.satisfied_by((Fraction(1, 3), Fraction(1, 100)))
         assert not s.satisfied_by((Fraction(-1, 3), -1))
 
+    def test_witness_of_wrong_length_rejected(self):
+        s = make(2, ineqs=[((1, 0), 0)])
+        with pytest.raises(ValueError):
+            s.satisfied_by((1,))
+
 
 entry = st.one_of(
     st.integers(min_value=-4, max_value=4),
@@ -245,3 +250,26 @@ def test_equality_heavy_matches_fraction_reference(eqs, ineqs):
     witness = fm_feasible(make(4, eqs=eqs, ineqs=ineqs))
     assert witness == reference_fm(4, eqs, ineqs)
     assert witness is None or all(type(v) is Fraction for v in witness)
+
+
+def _with_copies(data, rows):
+    """rows with positive multiples of some of them inserted at drawn places."""
+    rows = list(rows)
+    copies = st.integers(min_value=0, max_value=4) if rows else st.just(0)
+    for _ in range(data.draw(copies)):
+        c, r = rows[data.draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+        f = data.draw(st.sampled_from([1, 1, 2, 3]))
+        at = data.draw(st.integers(min_value=0, max_value=len(rows)))
+        rows.insert(at, (tuple(f * x for x in c), f * r))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(frow3, max_size=5), st.lists(frow3, max_size=3), st.data())
+def test_repeated_rows_keep_the_witness(ineqs, eqs, data):
+    """Repeated rows change neither the witness nor the verdict."""
+    eqs, ineqs = _with_copies(data, eqs), _with_copies(data, ineqs)
+    s = make(3, eqs=eqs, ineqs=ineqs)
+    witness = fm_feasible(s)
+    assert witness == reference_fm(3, eqs, ineqs)
+    assert (witness is not None) == simplex_feasible(s)

@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import stat
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from tropi.serialize import (
     realization_from_dict,
     realization_to_dict,
     save_json,
+    save_text,
     slopes_from_dict,
     slopes_to_dict,
     subdivision_from_dict,
@@ -155,6 +158,37 @@ class TestFiles:
         assert complex_from_dict(load_json(path)) == c
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
+
+    @pytest.fixture
+    def umask(self):
+        """Set the process umask for one test, then restore it."""
+        saved = os.umask(0o022)
+        yield os.umask
+        os.umask(saved)
+
+    @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_new_file_mode_follows_umask(self, tmp_path, umask, mask, mode):
+        umask(mask)
+        path = tmp_path / "c.json"
+        save_json(str(path), complex_to_dict(quadrant()))
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+
+    def test_overwrite_keeps_mode(self, tmp_path, umask):
+        umask(0o077)
+        path = tmp_path / "c.json"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        save_text(str(path), "new\n")
+        assert path.read_text() == "new\n"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            save_text(str(path), "\ud800")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_float_rejected_on_load(self, tmp_path):
         path = tmp_path / "bad.json"

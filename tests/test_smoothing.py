@@ -17,7 +17,6 @@ from tropi.linalg import vec_add, vec_scale
 from tropi.smoothing import (
     Realization,
     _legs_admissible,
-    _path_slopes,
     _realization_from_witness,
     build_smoothing_system,
     check_sensitivity_consequences,
@@ -187,6 +186,17 @@ class TestSmoothableLP:
             assert (smoothable_lp(t) is not None) == smoothable_simplex(t)
 
 
+def _path_slopes(t, root):
+    """Per vertex: which edges lie on its root path, with orientation sign.
+
+    Sign +1 means the stored orientation points away from the root.
+    """
+    paths = {root: {}}
+    for v, e, w in t.graph.walk(root):
+        paths[w] = {**paths[v], e: 1 if e[0] == v else -1}
+    return paths
+
+
 def _functionals(kern):
     """The barycentric functionals (U U^T)^-1 U, one row per generator."""
     return [tuple(Fraction(x, kern.denom) for x in row) for row in kern.dual]
@@ -351,6 +361,80 @@ class TestSmoothConstruct:
         for start in ("u", "w"):
             r = smooth_construct(t, start=start)
             assert verify_realization(t, r).valid
+
+    def test_unknown_start_vertex(self):
+        t = ray_type()
+        t = t.with_slopes(solve_balancing(t))
+        with pytest.raises(TypeProblem, match="'nope'"):
+            smooth_construct(t, start="nope")
+
+
+def reference_smooth_construct(t, start=None):
+    """smooth_construct as it was: the greedy walk over Fraction positions."""
+    assert check_sensitivity_consequences(t).passed
+    g = t.graph
+    if start is None:
+        start = g.vertices[0]
+    positions = {
+        start: tuple(Fraction(x) for x in t.target.barycenter(t.vertex_cones[start]))
+    }
+    lengths = {}
+    for v, e, w in g.walk(start):
+        cone = t.edge_cones[e]
+        ids = sorted(cone)
+        m = t.slope_from(v, e)
+        if not cone:
+            lengths[e] = Fraction(1)
+            positions[w] = positions[v]
+            continue
+        kern = t.target.kernel(cone)
+        mu = kern.numerators(positions[v])
+        a = kern.numerators(m)
+        dropped = [i for i, rid in enumerate(ids) if rid not in t.vertex_cones[w]]
+        if dropped:
+            (i0,) = dropped
+            length = Fraction(mu[i0], -a[i0])
+        else:
+            bounds = [Fraction(mu[i], -a[i]) for i in range(len(ids)) if a[i] < 0]
+            length = min(bounds) / 2 if bounds else Fraction(1)
+        lengths[e] = length
+        positions[w] = vec_add(positions[v], vec_scale(length, m))
+    return Realization(start, lengths, positions)
+
+
+def _zigzag(rng, t):
+    """t with each contracted edge in a cone of two or more rays given the
+    slope r_i - r_j of two of its rays instead: still sensitive, and the
+    walk halves its lengths there, so positions become fractional."""
+    slopes = dict(t.edge_slopes)
+    for e, m in slopes.items():
+        ids = sorted(t.edge_cones[e])
+        if not any(m) and len(ids) >= 2:
+            i, j = rng.sample(ids, 2)
+            slopes[e] = vec_add(t.target.rays[i], vec_scale(-1, t.target.rays[j]))
+    return t.with_slopes(slopes)
+
+
+class TestIntegerWalk:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_fraction_reference(self, k):
+        """From every start vertex of seeded staircase types of up to 64
+        vertices, and of their zigzag variants, the integer walk gives the
+        Fraction walk's realization with the same vertex order."""
+        rng = random.Random(40 + k)
+        walks = fractional = 0
+        for _ in range(8):
+            t = random_staircase_type(rng, random_smooth_fan(rng, k), 64)
+            for u in (t, _zigzag(rng, t)):
+                for start in u.graph.vertices:
+                    r = smooth_construct(u, start=start)
+                    expected = reference_smooth_construct(u, start=start)
+                    assert r == expected
+                    assert list(r.vertex_positions) == list(expected.vertex_positions)
+                    walks += 1
+                    coords = [x for p in r.vertex_positions.values() for x in p]
+                    fractional += any(x.denominator > 1 for x in coords)
+        assert walks >= 300 and fractional >= 50
 
 
 class TestVerify:
